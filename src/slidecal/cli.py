@@ -13,9 +13,7 @@ Thin adapters over the library: no numerics live here.  Subcommands:
 
 Exit codes: 0 success, 1 usage or I/O error, 2 verification failure.
 All numbers print with 17 significant digits, so parsing them back yields
-the library values bit for bit.  The environment variable SLIDECAL_THREADS
-caps worker counts; the current implementation is single-threaded, so it
-is recorded in reports but otherwise ignored.
+the library values bit for bit.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ import csv
 import hashlib
 import json
 import math
-import os
 import sys
 import time
 
@@ -64,7 +61,6 @@ def _write_report(args, outputs: dict, started: float):
         "inputs_digest": _digest(getattr(args, "_input_paths", [])),
         "outputs": outputs,
         "version": __version__,
-        "threads": os.environ.get("SLIDECAL_THREADS", ""),
         "wall_time_s": time.time() - started,
     }
     with open(args.report, "w") as fh:

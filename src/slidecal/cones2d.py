@@ -479,10 +479,6 @@ def _fan(pts):
     return [(pts[0], pts[i], pts[i + 1]) for i in range(1, len(pts) - 1)]
 
 
-def _polygon_area(pts) -> float:
-    return math.fsum(geom.triangle_area(a, b, c) for a, b, c in _fan(pts))
-
-
 def _mesh_from_faces(faces, refine=0) -> geom.Mesh:
     """Faces: iterable of (triangle list, gamma flag).  Vertices are merged
     across faces (12-decimal key) so fold seams are stitched and the mesh

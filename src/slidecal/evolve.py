@@ -16,9 +16,22 @@ region.  That is how the flat contact patch ("fat triangle") grows out of
 the half-T below the threshold weight.
 
 Descent is plain projected gradient with a backtracking line search, so
-the energy trace is monotone non-increasing; gradients are assembled with
-per-vertex gathers (no accumulation races), making runs with a fixed seed
-bit-reproducible.
+the energy trace is monotone non-increasing.  Each iteration evaluates
+the geometry once: the line search's accepted candidate supplies the next
+gradient and the step cap.  The kernel keeps coordinates as a (3, n)
+array and triangles as (3, m), so every gather and arithmetic step runs
+over contiguous rows.  Runs are bit-reproducible, and these rules keep
+any rewrite of the kernel bit-identical to it:
+
+  * cross products and norms are written out by component in numpy's
+    order: (u1 v2 - u2 v1, u2 v0 - u0 v2, u0 v1 - u1 v0) and
+    sqrt((x0^2 + x1^2) + x2^2);
+  * a - b is exactly -(b - a), so one edge serves both directions, and
+    u x v is exactly -(v x u);
+  * the gradient is nine np.bincount sums added per component in corner
+    order a, b, c (no accumulation races);
+  * J is np.dot(weights, 0.5 * norms), not a reordered or compensated
+    sum.
 """
 
 from __future__ import annotations
@@ -67,17 +80,17 @@ def rim_pin_mask(mesh: geom.Mesh) -> np.ndarray:
     """Vertices on the mesh rim that must stay put: endpoints of boundary
     edges not contained in the sliding plane.  Boundary edges inside the
     plane stay slidable."""
-    edge_count = {}
-    for a, b, c in mesh.triangles:
-        for i, j in ((a, b), (b, c), (c, a)):
-            key = (min(i, j), max(i, j))
-            edge_count[key] = edge_count.get(key, 0) + 1
-    pin = np.zeros(mesh.n_vertices, dtype=bool)
-    z = mesh.vertices[:, 2]
-    for (i, j), count in edge_count.items():
-        if count == 1 and not (abs(z[i]) <= SLIDE_Z_TOL and abs(z[j]) <= SLIDE_Z_TOL):
-            pin[i] = True
-            pin[j] = True
+    n = mesh.n_vertices
+    t = mesh.triangles.astype(np.int64)
+    i, j = t.ravel(), np.roll(t, -1, axis=1).ravel()
+    keys, counts = np.unique(np.minimum(i, j) * n + np.maximum(i, j),
+                             return_counts=True)
+    lo, hi = np.divmod(keys[counts == 1], n)
+    flat = np.abs(mesh.vertices[:, 2]) <= SLIDE_Z_TOL
+    off = ~(flat[lo] & flat[hi])
+    pin = np.zeros(n, dtype=bool)
+    pin[lo[off]] = True
+    pin[hi[off]] = True
     return pin
 
 
@@ -138,39 +151,50 @@ def jitter(mesh: geom.Mesh, scale: float, seed: int,
     return geom.Mesh(v, mesh.triangles, mesh.gamma)
 
 
-def _weighted_area(pos, tris, weights) -> float:
-    a, b, c = pos[tris[:, 0]], pos[tris[:, 1]], pos[tris[:, 2]]
-    n = np.cross(b - a, c - a)
-    areas = 0.5 * np.linalg.norm(n, axis=1)
-    return float(np.dot(weights, areas))
+def _cross(u, v):
+    return np.array([u[1] * v[2] - u[2] * v[1],
+                     u[2] * v[0] - u[0] * v[2],
+                     u[0] * v[1] - u[1] * v[0]])
 
 
-def _area_gradient(pos, tris, weights, n_vertices) -> np.ndarray:
-    """Exact gradient of the weighted area with respect to vertex
-    positions; degenerate triangles contribute nothing."""
-    a, b, c = pos[tris[:, 0]], pos[tris[:, 1]], pos[tris[:, 2]]
-    n = np.cross(b - a, c - a)
-    norms = np.linalg.norm(n, axis=1)
-    safe = np.where(norms > 1e-30, norms, 1.0)
-    n_hat = n / safe[:, None]
-    n_hat[norms <= 1e-30] = 0.0
-    w = weights[:, None]
-    ga = 0.5 * np.cross(b - c, n_hat) * w
-    gb = 0.5 * np.cross(c - a, n_hat) * w
-    gc = 0.5 * np.cross(a - b, n_hat) * w
-    grad = np.zeros((n_vertices, 3))
-    for idx, g in ((tris[:, 0], ga), (tris[:, 1], gb), (tris[:, 2], gc)):
-        for d in range(3):
-            grad[:, d] += np.bincount(idx, weights=g[:, d], minlength=n_vertices)
-    return grad
+def _norm(u):
+    return np.sqrt((u[0] * u[0] + u[1] * u[1]) + u[2] * u[2])
 
 
-def _min_edge(pos, tris) -> float:
-    a, b, c = pos[tris[:, 0]], pos[tris[:, 1]], pos[tris[:, 2]]
-    e = np.concatenate([np.linalg.norm(b - a, axis=1),
-                        np.linalg.norm(c - b, axis=1),
-                        np.linalg.norm(a - c, axis=1)])
-    return float(e.min())
+def _eval(P, T, weights):
+    """Geometry of positions P (3, n) on triangles T (3, m) with corners
+    a, b, c, and the weighted area J.  The geometry is the edges
+    (b - a, c - a, c - b), the normals (b - a) x (c - a) and their norms."""
+    a, b, c = (np.take(P, t, axis=1) for t in T)
+    edges = (b - a, c - a, c - b)
+    normals = _cross(edges[0], edges[1])
+    norms = _norm(normals)
+    return (edges, normals, norms), float(np.dot(weights, 0.5 * norms))
+
+
+def _gradient(geo, T, weights, n_vertices) -> np.ndarray:
+    """Exact (3, n) gradient of the weighted area from ``_eval``'s
+    geometry; degenerate triangles contribute nothing.  The corner terms
+    are 0.5 (b - c) x n_hat, 0.5 (c - a) x n_hat and 0.5 (a - b) x n_hat,
+    the first and last written as n_hat x (c - b) and n_hat x (b - a)."""
+    edges, normals, norms = geo
+    n_hat = normals / np.where(norms > 1e-30, norms, 1.0)
+    n_hat[:, norms <= 1e-30] = 0.0
+    g = ((0.5 * _cross(n_hat, edges[2])) * weights,
+         (0.5 * _cross(edges[1], n_hat)) * weights,
+         (0.5 * _cross(n_hat, edges[0])) * weights)
+    return np.array([np.bincount(T[0], weights=g[0][d], minlength=n_vertices)
+                     + np.bincount(T[1], weights=g[1][d], minlength=n_vertices)
+                     + np.bincount(T[2], weights=g[2][d], minlength=n_vertices)
+                     for d in range(3)])
+
+
+def _project(G, pinned, sliding) -> np.ndarray:
+    """Zero, in place, the gradient (3, n) of pinned vertices and the
+    vertical component of sliding ones."""
+    G[:, pinned] = 0.0
+    G[2, sliding] = 0.0
+    return G
 
 
 def descend(mesh: geom.Mesh, cfg: EvolveConfig) -> EvolveTrace:
@@ -198,27 +222,28 @@ def descend(mesh: geom.Mesh, cfg: EvolveConfig) -> EvolveTrace:
     gamma_tri |= sliding[tris].all(axis=1)
     movable = ~pinned
 
+    P, T = np.ascontiguousarray(pos.T), np.ascontiguousarray(tris.T)
     weights = np.where(gamma_tri, cfg.alpha, 1.0)
-    energies = [_weighted_area(pos, tris, weights)]
+    geo, j_new = _eval(P, T, weights)
+    energies = [j_new]
     contact_count = np.zeros(len(pos), dtype=int)
     converged = False
 
     for iteration in range(cfg.max_iters):
-        grad = _area_gradient(pos, tris, weights, len(pos))
-        grad[pinned] = 0.0
-        grad[sliding, 2] = 0.0
-        gmax = float(np.linalg.norm(grad, axis=1).max())
+        grad = _project(_gradient(geo, T, weights, len(pos)), pinned, sliding)
+        gmax = float(_norm(grad).max())
         if gmax == 0.0:
             converged = True
             break
-        step = min(cfg.step, _min_edge(pos, tris) / (4.0 * gmax))
+        min_edge = min(float(_norm(e).min()) for e in geo[0])
+        step = min(cfg.step, min_edge / (4.0 * gmax))
         j_old = energies[-1]
         accepted = False
         for _ in range(40):
-            cand = pos - step * grad
-            cand[sliding, 2] = 0.0
-            np.maximum(cand[:, 2], 0.0, out=cand[:, 2])
-            j_new = _weighted_area(cand, tris, weights)
+            cand = P - step * grad
+            cand[2, sliding] = 0.0
+            np.maximum(cand[2], 0.0, out=cand[2])
+            geo, j_new = _eval(cand, T, weights)
             if j_new < j_old:
                 accepted = True
                 break
@@ -226,11 +251,11 @@ def descend(mesh: geom.Mesh, cfg: EvolveConfig) -> EvolveTrace:
         if not accepted:
             converged = True
             break
-        pos = cand
+        P = cand
         # one-way contact: clamped free vertices become sliding after a few
         # consecutive floor hits, and fully-sliding triangles join the
         # weighted region
-        at_floor = movable & ~sliding & (pos[:, 2] <= 0.0)
+        at_floor = movable & ~sliding & (P[2] <= 0.0)
         contact_count[at_floor] += 1
         contact_count[~at_floor] = 0
         new_sliding = contact_count >= cfg.contact_iters
@@ -241,12 +266,13 @@ def descend(mesh: geom.Mesh, cfg: EvolveConfig) -> EvolveTrace:
             if newly_flat.any():
                 gamma_tri |= newly_flat
                 weights = np.where(gamma_tri, cfg.alpha, 1.0)
-                j_new = _weighted_area(pos, tris, weights)
+                j_new = float(np.dot(weights, 0.5 * geo[2]))
         energies.append(j_new)
         if j_old - j_new < cfg.tol:
             converged = True
             break
 
+    pos = P.T.copy()
     areas = geom.triangle_areas(pos, tris)
     keep = areas > geom.DEGENERATE_AREA
     final = geom.Mesh(pos, tris[keep], gamma_tri[keep])
@@ -263,22 +289,21 @@ def gradient_check(mesh: geom.Mesh, alpha: float, h: float = 1e-5,
     analytic gradient on a random sample of movable vertices; returns the
     maximum relative defect.
 
-    Pinned vertices must have exactly zero gradient and sliding vertices
-    exactly zero vertical component; both are asserted here."""
+    The projection ``descend`` uses must leave pinned vertices exactly
+    zero gradient and sliding vertices exactly zero vertical component;
+    both are asserted here."""
     if not 1e-7 <= h <= 1e-4:
         raise ValueError(f"h must lie in [1e-7, 1e-4], got {h}")
     pinned = _resolve_pin(mesh, pin)
-    pos = mesh.vertices.copy()
-    tris = mesh.triangles
+    P, T = mesh.vertices.T.copy(), np.ascontiguousarray(mesh.triangles.T)
     weights = np.where(mesh.gamma, alpha, 1.0)
-    sliding = np.abs(pos[:, 2]) <= SLIDE_Z_TOL
+    sliding = np.abs(P[2]) <= SLIDE_Z_TOL
 
-    grad = _area_gradient(pos, tris, weights, len(pos))
-    grad[pinned] = 0.0
-    grad[sliding, 2] = 0.0
-    if np.any(grad[pinned] != 0.0):
+    geo, _ = _eval(P, T, weights)
+    grad = _project(_gradient(geo, T, weights, mesh.n_vertices), pinned, sliding)
+    if np.any(grad[:, pinned] != 0.0):
         raise AssertionError("pinned vertex with nonzero gradient")
-    if np.any(grad[sliding, 2] != 0.0):
+    if np.any(grad[2, sliding] != 0.0):
         raise AssertionError("sliding vertex with vertical gradient")
 
     movable = np.nonzero(~pinned)[0]
@@ -288,13 +313,13 @@ def gradient_check(mesh: geom.Mesh, alpha: float, h: float = 1e-5,
     for v in sample:
         dims = (0, 1) if sliding[v] else (0, 1, 2)
         for d in dims:
-            old = pos[v, d]
-            pos[v, d] = old + h
-            jp = _weighted_area(pos, tris, weights)
-            pos[v, d] = old - h
-            jm = _weighted_area(pos, tris, weights)
-            pos[v, d] = old
+            old = P[d, v]
+            P[d, v] = old + h
+            jp = _eval(P, T, weights)[1]
+            P[d, v] = old - h
+            jm = _eval(P, T, weights)[1]
+            P[d, v] = old
             fd = (jp - jm) / (2.0 * h)
-            defect = abs(fd - grad[v, d]) / max(1.0, abs(grad[v, d]))
+            defect = abs(fd - grad[d, v]) / max(1.0, abs(grad[d, v]))
             worst = max(worst, defect)
     return worst

@@ -32,10 +32,6 @@ GAMMA_Z_TOL = 1e-9        # flatness required of a triangle flagged on-Gamma
 DEGENERATE_AREA = 1e-16   # triangles at or below this area are rejected
 
 
-def vec(x, y, z) -> np.ndarray:
-    return np.array([float(x), float(y), float(z)])
-
-
 def unit(v) -> np.ndarray:
     """Normalize v; raises on the zero vector."""
     v = np.asarray(v, dtype=float)
@@ -43,10 +39,6 @@ def unit(v) -> np.ndarray:
     if n == 0.0:
         raise ValueError("cannot normalize the zero vector")
     return v / n
-
-
-def is_unit(v, tol: float = 1e-12) -> bool:
-    return abs(float(np.linalg.norm(v)) - 1.0) <= tol
 
 
 def triangle_area(a, b, c) -> float:
@@ -206,17 +198,6 @@ def subdivide(mesh: Mesh, levels: int = 1) -> Mesh:
             new_flags += [f, f, f, f]
         tris, flags = new_tris, new_flags
     return Mesh(np.array(verts), np.array(tris), np.array(flags))
-
-
-def concat(meshes) -> Mesh:
-    """Disjoint union of meshes (vertices are not merged)."""
-    vs, ts, gs, off = [], [], [], 0
-    for m in meshes:
-        vs.append(m.vertices)
-        ts.append(m.triangles + off)
-        gs.append(m.gamma)
-        off += m.n_vertices
-    return Mesh(np.vstack(vs), np.vstack(ts), np.concatenate(gs))
 
 
 # ---------------------------------------------------------------------------

@@ -48,10 +48,54 @@ def test_rim_pin_mask_half_t():
     assert not pin[bottom].any()
 
 
+def _rim_pin_oracle(mesh):
+    """Edge-count dict loop: pin both ends of every boundary edge that is
+    not inside the sliding plane."""
+    edge_count = {}
+    for a, b, c in mesh.triangles:
+        for i, j in ((a, b), (b, c), (c, a)):
+            key = (min(i, j), max(i, j))
+            edge_count[key] = edge_count.get(key, 0) + 1
+    pin = np.zeros(mesh.n_vertices, dtype=bool)
+    z = mesh.vertices[:, 2]
+    for (i, j), count in edge_count.items():
+        if count == 1 and not (abs(z[i]) <= 1e-12 and abs(z[j]) <= 1e-12):
+            pin[i] = pin[j] = True
+    return pin
+
+
+@pytest.mark.parametrize("spec, refine", [
+    (cones2d.t_plus(), 3),
+    (cones2d.y_beta(0.5), 2),
+    (cones2d.ybar_beta(0.5), 2),
+    (cones2d.w_beta(0.5), 1),
+], ids=["t_plus-r3", "y_beta-r2", "ybar_beta-r2", "w_beta-r1"])
+def test_rim_pin_mask_matches_edge_count_oracle(spec, refine):
+    m = cones2d.build(spec, refine=refine)
+    pin = evolve.rim_pin_mask(m)
+    assert pin.any()
+    assert np.array_equal(pin, _rim_pin_oracle(m))
+
+
 def test_gradient_check_smooth_mesh():
     m = cones2d.build(cones2d.t_plus(), refine=3)
     m = evolve.jitter(m, 1e-3, seed=7)
     assert evolve.gradient_check(m, 0.6, h=1e-5) <= 1e-5
+
+
+def test_gradient_check_catches_unprojected_pin(monkeypatch):
+    m = evolve.jitter(cones2d.build(cones2d.t_plus(), refine=2), 1e-3, seed=7)
+    pinned_vertex = np.flatnonzero(evolve.rim_pin_mask(m))[0]
+    project = evolve._project
+
+    def leaky(grad, pinned, sliding):
+        grad = project(grad, pinned, sliding)
+        grad[:, pinned_vertex] = 1.0
+        return grad
+
+    monkeypatch.setattr(evolve, "_project", leaky)
+    with pytest.raises(AssertionError, match="pinned"):
+        evolve.gradient_check(m, 0.6)
 
 
 def test_gradient_check_h_domain():
@@ -101,6 +145,17 @@ def test_descend_deterministic():
     t1 = evolve.descend(mesh, cfg)
     t2 = evolve.descend(mesh, cfg)
     assert t1.energies == t2.energies
+
+
+def test_descend_golden_half_t():
+    # recorded before the descent kernel moved to the (3, n) column layout;
+    # any change to the kernel's floating-point operations shows here
+    mesh, cfg = nucleated_half_t(refine=3, alpha=0.6, seed=42)
+    trace = evolve.descend(mesh, cfg)
+    assert trace.converged
+    assert trace.iterations == 974
+    assert trace.energies[-1] == 1.8805470592497302
+    assert trace.gamma_contact_area == 0.06921690853887162
 
 
 def test_descend_below_threshold_beats_cone():
