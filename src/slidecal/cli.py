@@ -95,8 +95,8 @@ def _clip_for(args, spec) -> cones2d.ClipRegion:
     if kind == "prism":
         return cones2d.prism_clip(spec, apothem=args.apothem,
                                   half_height=args.half_height)
-    if kind == "ball":
-        return cones2d.ball_clip(radius=args.radius)
+    if kind == "box":
+        return cones2d.box_clip(apothem=args.apothem)
     if kind == "slab":
         return cones2d.slab_clip()
     raise SystemExit(f"error: unknown clip {kind!r}")
@@ -218,6 +218,7 @@ def _cmd_evolve(args) -> int:
     cfg = evolve.EvolveConfig(alpha=args.alpha, step=args.step,
                               max_iters=args.iters, tol=args.tol)
     trace = evolve.descend(mesh, cfg)
+    final = geom.energy(trace.mesh, args.alpha).j_alpha
     if args.out:
         geom.write_off(trace.mesh, args.out)
     if args.trace:
@@ -227,9 +228,9 @@ def _cmd_evolve(args) -> int:
             for k, e in enumerate(trace.energies):
                 writer.writerow([k, _fmt(e)])
     print(f"iterations = {trace.iterations}  converged = {trace.converged}")
-    print(f"final j_alpha = {_fmt(trace.energies[-1])}")
+    print(f"final j_alpha = {_fmt(final)}")
     print(f"gamma_contact_area = {_fmt(trace.gamma_contact_area)}")
-    _write_report(args, {"final_j": trace.energies[-1],
+    _write_report(args, {"final_j": final,
                          "gamma_contact_area": trace.gamma_contact_area,
                          "converged": trace.converged}, started)
     return 0
@@ -314,11 +315,10 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("build", help="construct a cone mesh")
     add_cone_args(p)
-    p.add_argument("--clip", choices=["simplex", "prism", "ball", "slab"],
+    p.add_argument("--clip", choices=["simplex", "prism", "box", "slab"],
                    default=None)
     p.add_argument("--apothem", type=float, default=1.0)
     p.add_argument("--half-height", dest="half_height", type=float, default=None)
-    p.add_argument("--radius", type=float, default=1.0)
     p.add_argument("--refine", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--report", default=None)

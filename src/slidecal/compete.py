@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import geom
 
@@ -129,6 +128,8 @@ class FoldAreas:
 
 
 def fold_areas(x0: float) -> FoldAreas:
+    from scipy.integrate import quad   # deferred: costs 0.4 s at import
+
     c = c_from_x0(x0)
 
     def b_integrand(x):

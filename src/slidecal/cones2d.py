@@ -63,11 +63,16 @@ Y_POINTS = np.array([[1.0, 0.0, 0.0],
                      [-0.5, -SQ3 / 2, 0.0]])
 
 Z = np.array([0.0, 0.0, 1.0])
-
-ARC_SEGMENTS = 192  # fixed sampling of circular boundaries (ball clip)
+Z_DOWN = np.array([0.0, 0.0, -1.0])   # z >= 0 as the half-space Z_DOWN.p <= 0
 
 REQ_EQ = "eq"    # cone minimal exactly at the listed alpha
 REQ_GEQ = "geq"  # cone minimal for alpha at or above the listed value
+
+# kinds of the faces bounding a complement region (region partitions)
+FACE_FOLD = "fold"
+FACE_GAMMA_SECTOR = "gamma_sector"
+FACE_GAMMA_BARE = "gamma_bare"
+FACE_CLIP = "clip"
 
 
 @dataclass(frozen=True)
@@ -365,17 +370,17 @@ def boundary_profile_check(spec: ConeSpec, alpha: float, tol: float = 1e-12) -> 
 
 @dataclass(frozen=True)
 class ClipRegion:
-    """Compact set in which the cone is truncated.
+    """Convex polytope in which the cone is truncated.
 
     kinds: "simplex" (canonical half-T truncation), "prism" (right prism
-    around the spine; apothem and half_height), "ball" (radius), "slab"
-    (products; the length comes from the cone record).
+    around the spine; apothem and half_height), "box" (|x|, |y| <= apothem
+    and z <= apothem), "slab" (products; the length comes from the cone
+    record).
     """
 
     kind: str
     apothem: float = 1.0
     half_height: Optional[float] = None
-    radius: float = 1.0
 
 
 def simplex_clip() -> ClipRegion:
@@ -399,8 +404,10 @@ def prism_clip(spec: ConeSpec, apothem: float = 1.0,
     return ClipRegion("prism", apothem=apothem, half_height=half_height)
 
 
-def ball_clip(radius: float = 1.0) -> ClipRegion:
-    return ClipRegion("ball", radius=radius)
+def box_clip(apothem: float = 1.0) -> ClipRegion:
+    if apothem <= 0.0:
+        raise ValueError("box clip needs apothem > 0")
+    return ClipRegion("box", apothem=apothem)
 
 
 def slab_clip() -> ClipRegion:
@@ -413,18 +420,46 @@ def default_clip(spec: ConeSpec) -> ClipRegion:
     if spec.variant in (Y_BETA, YBAR_BETA):
         return prism_clip(spec)
     if spec.variant == W_BETA:
-        return ball_clip()
+        return box_clip()
     return slab_clip()
 
 
 _COMPATIBLE = {T_PLUS: "simplex", Y_BETA: "prism", YBAR_BETA: "prism",
-               W_BETA: "ball", PRODUCT: "slab"}
+               W_BETA: "box", PRODUCT: "slab"}
 
 
 def _check_clip(spec: ConeSpec, clip: ClipRegion):
     if clip.kind != _COMPATIBLE[spec.variant]:
         raise ValueError(
             f"clip {clip.kind!r} incompatible with cone {spec.variant!r}")
+
+
+def _clip_halfspaces(spec: ConeSpec, clip: ClipRegion) -> list:
+    """Faces of the clip polytope as labelled half-spaces (n, d, kind,
+    name) meaning n.p <= d, with n pointing out of the clip."""
+    a = clip.apothem
+    if clip.kind == "simplex":
+        v = T_VERTICES
+        hs = []
+        for i in range(4):
+            others = [v[j] for j in range(4) if j != i]
+            n = geom.unit(np.cross(others[1] - others[0], others[2] - others[0]))
+            if float(n @ (others[0] - v[i])) < 0:
+                n = -n
+            hs.append((n, float(n @ others[0])))
+        names = [f"F{k}" for k in (1, 2, 3, 4)]
+    elif clip.kind == "prism":
+        b = spec.beta
+        sp = np.array([math.cos(b), 0.0, math.sin(b)])
+        points = -Y_POINTS if spec.variant == YBAR_BETA else Y_POINTS
+        hs = [(-(geom.rotate_y(b).matrix @ p), a) for p in points]
+        hs += [(sp, clip.half_height), (-sp, clip.half_height)]
+        names = [f"prism_{k}" for k in range(5)]
+    else:
+        hs = [(np.array(n, dtype=float), a) for n in
+              ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1))]
+        names = ["box_+x", "box_-x", "box_+y", "box_-y", "box_top"]
+    return [(n, d, FACE_CLIP, name) for (n, d), name in zip(hs, names)]
 
 
 # ---------------------------------------------------------------------------
@@ -541,137 +576,63 @@ def _t_plus_faces():
 
 
 # ---------------------------------------------------------------------------
-# Builders: tilted Y cones in a prism
+# Builders: tilted Y cones and the double Y
 # ---------------------------------------------------------------------------
 
-def _y_frames(spec: ConeSpec):
-    """Shared geometry of the tilted Y cones: spine, trace rays, prism face
-    normals, and the three fold sector descriptions."""
-    b = spec.beta
-    bar = spec.variant == YBAR_BETA
-    R = geom.rotate_y(b)
-    points = -Y_POINTS if bar else Y_POINTS
-    sp = np.array([math.cos(b), 0.0, math.sin(b)])
-    w_hats = [-(R.matrix @ p) for p in points]   # outward prism face normals
+def _fold_sector(normal, ray, spine):
+    """Sector of the plane {normal . p = 0} between a trace ray in the
+    sliding plane and a spine: z >= 0 together with the half-plane,
+    bounded by the spine line, containing the ray."""
+    side = geom.unit(ray - (ray @ spine) * spine)
+    return normal, [(Z_DOWN, 0.0), (-side, 0.0)], False
+
+
+def _sectors(spec: ConeSpec) -> list:
+    """The cone's planar sectors as (plane normal, the two half-spaces
+    bounding the sector, gamma flag): folds first, then the cone-owned
+    sectors of the sliding plane."""
+    s, c = math.sin(spec.beta), math.cos(spec.beta)
+    t = SQ3 * s
     rays = gamma_rays(spec)
-    return sp, rays, w_hats
-
-
-def _y_fold_descriptions(spec: ConeSpec):
-    """(name, plane normal, side constraints) for the three folds.
-
-    Each fold is the convex sector between one boundary trace ray and the
-    positive spine ray; in-plane it is cut out by z >= 0 together with the
-    half-plane, bounded by the spine line, containing the trace ray.
-    """
-    sp, rays, _ = _y_frames(spec)
-    q1, q2, q3 = rays
-    m2, m3 = fold_normals(spec)
-    vertical_n = np.array([0.0, 1.0, 0.0])
-    out = []
-    for name, ray, n in (("vertical", q1, vertical_n),
-                         ("sloping_2", q2, m2),
-                         ("sloping_3", q3, m3)):
-        side = ray - (ray @ sp) * sp   # in-plane direction away from the spine
-        side = geom.unit(side)
-        out.append((name, n, [(np.array([0.0, 0.0, -1.0]), 0.0), (-side, 0.0)]))
-    return out
-
-
-def _prism_halfspaces(spec: ConeSpec, clip: ClipRegion):
-    sp, _, w_hats = _y_frames(spec)
-    a, h = clip.apothem, clip.half_height
-    hs = [(w, a) for w in w_hats]
-    hs += [(sp, h), (-sp, h)]
-    return hs
-
-
-def _y_gamma_wedges(spec: ConeSpec):
-    """Constraint pairs cutting the cone-owned sectors of the sliding
-    plane (one wedge for the convex completion, two for the mirror)."""
-    s = math.sin(spec.beta)
+    if spec.variant == W_BETA:
+        if spec.beta <= 0.0:
+            raise ValueError("double Y needs beta > 0")
+        sp1, sp2 = spines(spec)
+        spine_of = (sp1, sp1, sp2, sp2)
+        out = [_fold_sector(n, q, sp) for n, q, sp
+               in zip(fold_normals(spec), rays, spine_of)]
+        # V: |x| <= z cot(beta) in y = 0; H1 and H2: y >= t|x| and y <= -t|x|
+        out.append((np.array([0.0, 1.0, 0.0]),
+                    [(np.array([s, 0.0, -c]), 0.0),
+                     (np.array([-s, 0.0, -c]), 0.0)], False))
+        for sign in (1.0, -1.0):
+            out.append((Z, [(np.array([t, -sign, 0.0]), 0.0),
+                            (np.array([-t, -sign, 0.0]), 0.0)], True))
+        return out
+    sp = spines(spec)[0]
+    normals = [np.array([0.0, 1.0, 0.0]), *fold_normals(spec)]
+    out = [_fold_sector(n, q, sp) for n, q in zip(normals, rays)]
     if spec.variant == Y_BETA:
         # wedge around -x between the two sloping traces
-        return [("S", [(np.array([SQ3 * s, 1.0, 0.0]), 0.0),
-                       (np.array([SQ3 * s, -1.0, 0.0]), 0.0)])]
-    # mirror: everything except the open wedge around +x, split at the -x axis
-    return [("Sbar_upper", [(np.array([SQ3 * s, -1.0, 0.0]), 0.0),
-                            (np.array([0.0, -1.0, 0.0]), 0.0)]),
-            ("Sbar_lower", [(np.array([SQ3 * s, 1.0, 0.0]), 0.0),
-                            (np.array([0.0, 1.0, 0.0]), 0.0)])]
+        wedges = [[(np.array([t, 1.0, 0.0]), 0.0),
+                   (np.array([t, -1.0, 0.0]), 0.0)]]
+    else:
+        # mirror: everything except the open wedge around +x, split at -x
+        wedges = [[(np.array([t, -1.0, 0.0]), 0.0),
+                   (np.array([0.0, -1.0, 0.0]), 0.0)],
+                  [(np.array([t, 1.0, 0.0]), 0.0),
+                   (np.array([0.0, 1.0, 0.0]), 0.0)]]
+    return out + [(Z, w, True) for w in wedges]
 
 
-def _build_y(spec: ConeSpec, clip: ClipRegion, refine: int) -> geom.Mesh:
-    hs_clip = _prism_halfspaces(spec, clip)
-    extent = 10.0 * (clip.apothem + clip.half_height)
+def _build_sectors(spec: ConeSpec, clip: ClipRegion, refine: int) -> geom.Mesh:
+    hs_clip = [(n, d) for n, d, _, _ in _clip_halfspaces(spec, clip)]
+    extent = 10.0 * (clip.apothem + (clip.half_height or 0.0))
     faces = []
-    for name, n, side_hs in _y_fold_descriptions(spec):
-        poly = _polygon_in_plane(n, side_hs + hs_clip, extent)
+    for n, sides, g in _sectors(spec):
+        poly = _polygon_in_plane(n, sides + hs_clip, extent)
         if len(poly) >= 3:
-            faces.append((_fan(_snap_z(poly)), False))
-    for name, wedge_hs in _y_gamma_wedges(spec):
-        poly = _polygon_in_plane(Z, wedge_hs + hs_clip, extent)
-        if len(poly) >= 3:
-            faces.append((_fan(_snap_z(poly)), True))
-    return _mesh_from_faces(faces, refine)
-
-
-# ---------------------------------------------------------------------------
-# Builders: double Y in a ball
-# ---------------------------------------------------------------------------
-
-def _slerp_arc(u, v, n_seg):
-    """Points along the short great-circle arc from u to v (inclusive)."""
-    u = geom.unit(u)
-    v = geom.unit(v)
-    omega = math.acos(min(1.0, max(-1.0, float(u @ v))))
-    if omega > math.pi - 1e-9:
-        raise ValueError("antipodal endpoints have no short arc")
-    if omega < 1e-14:
-        return [u, v]
-    out = []
-    for k in range(n_seg + 1):
-        t = k / n_seg
-        out.append((math.sin((1 - t) * omega) * u + math.sin(t * omega) * v)
-                   / math.sin(omega))
-    return out
-
-
-def _w_frame(spec: ConeSpec):
-    b = spec.beta
-    sp1 = np.array([math.cos(b), 0.0, math.sin(b)])
-    sp2 = geom.R_X @ sp1
-    q1, q2, q3, q4 = gamma_rays(spec)
-    return sp1, sp2, (q1, q2, q3, q4)
-
-
-def _w_fold_polys(spec: ConeSpec, radius: float):
-    """Fold polygons of the double Y clipped to the ball: circular sectors
-    sampled with a fixed arc resolution, plus the two horizontal sectors."""
-    sp1, sp2, (q1, q2, q3, q4) = _w_frame(spec)
-    r = radius
-    o = np.zeros(3)
-
-    def sector(a, b):
-        arc = [r * p for p in _slerp_arc(a, b, ARC_SEGMENTS)]
-        return [o] + arc
-
-    polys = {
-        "S1": (sector(q1, sp1), False),
-        "S2": (sector(q2, sp1), False),
-        "S3": (sector(q3, sp2), False),
-        "S4": (sector(q4, sp2), False),
-        "V": (sector(sp1, sp2), False),
-        "H1": (_snap_z(sector(q1, q4)), True),
-        "H2": (_snap_z(sector(q2, q3)), True),
-    }
-    return polys
-
-
-def _build_w(spec: ConeSpec, clip: ClipRegion, refine: int) -> geom.Mesh:
-    if spec.beta <= 0.0:
-        raise ValueError("double Y needs beta > 0")
-    faces = [(_fan(poly), g) for poly, g in _w_fold_polys(spec, clip.radius).values()]
+            faces.append((_fan(_snap_z(poly)), g))
     return _mesh_from_faces(faces, refine)
 
 
@@ -712,31 +673,25 @@ def _build_product(spec: ConeSpec, refine: int) -> geom.Mesh:
 def build(spec: ConeSpec, clip: Optional[ClipRegion] = None, refine: int = 0) -> geom.Mesh:
     """Triangulate a cone inside its clip region.
 
-    Folds are planar and triangulated exactly; sliding-plane sectors are
-    flagged on-Gamma.  ``refine`` only subdivides triangles (geometry is
-    fixed), so energies are refinement-stable.
+    Each fold and each cone-owned sector of the sliding plane is a convex
+    sector, cut from its plane by two half-spaces and the clip faces and
+    fan-triangulated exactly; sliding-plane sectors are flagged on-Gamma.
+    ``refine`` only subdivides triangles (geometry is fixed), so energies
+    are refinement-stable.
     """
     if clip is None:
         clip = default_clip(spec)
     _check_clip(spec, clip)
     if spec.variant == T_PLUS:
         return _mesh_from_faces(_t_plus_faces(), refine)
-    if spec.variant in (Y_BETA, YBAR_BETA):
-        return _build_y(spec, clip, refine)
-    if spec.variant == W_BETA:
-        return _build_w(spec, clip, refine)
-    return _build_product(spec, refine)
+    if spec.variant == PRODUCT:
+        return _build_product(spec, refine)
+    return _build_sectors(spec, clip, refine)
 
 
 # ---------------------------------------------------------------------------
 # Region partitions (for the divergence-theorem checks)
 # ---------------------------------------------------------------------------
-
-FACE_FOLD = "fold"
-FACE_GAMMA_SECTOR = "gamma_sector"
-FACE_GAMMA_BARE = "gamma_bare"
-FACE_CLIP = "clip"
-
 
 @dataclass(frozen=True)
 class RegionFace:
@@ -754,27 +709,11 @@ class Region:
     index: int
     faces: tuple
 
-    @property
-    def boundary_area(self) -> float:
-        return math.fsum(f.area for f in self.faces)
-
 
 @dataclass(frozen=True)
 class Partition:
     variant: str
     regions: tuple
-
-
-def _orient_out(tris, interior):
-    out = []
-    for a, b, c in tris:
-        n = np.cross(b - a, c - a)
-        centroid = (a + b + c) / 3.0
-        if float(n @ (centroid - interior)) < 0.0:
-            out.append((a, c, b))
-        else:
-            out.append((a, b, c))
-    return np.array(out)
 
 
 def _region_from_halfspaces(index, labeled_halfspaces, tol=1e-9):
@@ -822,144 +761,34 @@ def _region_from_halfspaces(index, labeled_halfspaces, tol=1e-9):
     return Region(index, tuple(faces))
 
 
-def _t_plus_partition() -> Partition:
-    v = T_VERTICES
-    fold_list = folds(t_plus())
-    by_name = {f.name: f for f in fold_list}
-    # simplex face planes, outward
-    face_planes = []
-    for i in range(4):
-        others = [v[j] for j in range(4) if j != i]
-        n = geom.unit(np.cross(others[1] - others[0], others[2] - others[0]))
-        if float(n @ (others[0] - v[i])) < 0:
-            n = -n
-        face_planes.append((n, float(n @ others[0])))
-    zdown = (np.array([0.0, 0.0, -1.0]), 0.0)
-
-    def fold_hs(name, region):
-        f = by_name[name]
-        sign = 1.0 if region == f.regions[0] else -1.0
-        return (sign * f.normal, 0.0, FACE_FOLD, name)
-
-    regions = []
-    lateral = {1: ("slope_1", "vertical_2", "vertical_3"),
-               2: ("slope_2", "vertical_1", "vertical_3"),
-               3: ("slope_3", "vertical_1", "vertical_2")}
-    for i, names in lateral.items():
-        hs = [fold_hs(n, i) for n in names]
-        hs.append((*zdown, FACE_GAMMA_BARE, f"gamma_{i}"))
-        n, d = face_planes[i - 1]
-        hs.append((n, d, FACE_CLIP, f"F{i}"))
-        regions.append(_region_from_halfspaces(i, hs))
-    hs = [fold_hs(f"slope_{k}", 4) for k in (1, 2, 3)]
-    n, d = face_planes[3]
-    hs.append((n, d, FACE_CLIP, "F4"))
-    regions.append(_region_from_halfspaces(4, hs))
-    return Partition(T_PLUS, tuple(regions))
-
-
-def _y_partition(spec: ConeSpec, clip: ClipRegion) -> Partition:
-    fold_list = folds(spec)
-    by_name = {f.name: f for f in fold_list}
-    hs_clip = [(n, d, FACE_CLIP, f"prism_{k}")
-               for k, (n, d) in enumerate(_prism_halfspaces(spec, clip))]
-    zdown = np.array([0.0, 0.0, -1.0])
-
-    def fold_hs(name, region):
-        f = by_name[name]
-        sign = 1.0 if region == f.regions[0] else -1.0
-        return (sign * f.normal, 0.0, FACE_FOLD, name)
-
+def _partition(spec: ConeSpec, clip_halfspaces: list) -> Partition:
+    """Region i is cut out by every fold bordering it (on its side of the
+    fold normal), by z >= 0 (a cone-owned sector of the sliding plane
+    where ``gamma_sectors`` puts one below it, else bare plane) and by the
+    clip faces."""
     sectors = {s.region: s.name for s in gamma_sectors(spec)}
-    adjacency = {1: ("sloping_2", "sloping_3"),
-                 2: ("sloping_3", "vertical"),
-                 3: ("sloping_2", "vertical")}
     regions = []
-    for i, names in adjacency.items():
-        hs = [fold_hs(n, i) for n in names]
+    for i in range(1, region_count(spec) + 1):
+        hs = [((1.0 if i == f.regions[0] else -1.0) * f.normal, 0.0,
+               FACE_FOLD, f.name) for f in folds(spec) if i in f.regions]
         if i in sectors:
-            hs.append((zdown, 0.0, FACE_GAMMA_SECTOR, sectors[i]))
+            hs.append((Z_DOWN, 0.0, FACE_GAMMA_SECTOR, sectors[i]))
         else:
-            hs.append((zdown, 0.0, FACE_GAMMA_BARE, f"gamma_{i}"))
-        hs += hs_clip
-        regions.append(_region_from_halfspaces(i, hs))
+            hs.append((Z_DOWN, 0.0, FACE_GAMMA_BARE, f"gamma_{i}"))
+        regions.append(_region_from_halfspaces(i, hs + clip_halfspaces))
     return Partition(spec.variant, tuple(regions))
-
-
-def _w_partition(spec: ConeSpec, clip: ClipRegion) -> Partition:
-    b = spec.beta
-    if not 0.0 < b < math.pi / 2:
-        raise ValueError("double-Y partition needs beta in (0, pi/2)")
-    r = clip.radius
-    sp1, sp2, (q1, q2, q3, q4) = _w_frame(spec)
-    polys = _w_fold_polys(spec, r)
-    o = np.zeros(3)
-
-    def disk_sector(a, bdir):
-        return _fan(_snap_z([o] + [r * p for p in _slerp_arc(a, bdir, ARC_SEGMENTS)]))
-
-    def patch(loop_arcs):
-        """Triangulated spherical polygon whose boundary runs along the
-        given arcs (fan from the normalized centroid)."""
-        pts = []
-        for a, bdir in loop_arcs:
-            pts.extend(_slerp_arc(a, bdir, ARC_SEGMENTS)[:-1])
-        pts = [r * p for p in pts]
-        centroid = geom.unit(np.mean(pts, axis=0)) * r
-        k = len(pts)
-        return [(centroid, pts[i], pts[(i + 1) % k]) for i in range(k)]
-
-    tanb = math.tan(b)
-    interiors = {1: np.array([0.5 * r, 0.0, 0.1 * r * tanb]),
-                 2: np.array([-0.5 * r, 0.0, 0.1 * r * tanb]),
-                 3: np.array([0.0, 0.5 * r, 0.1 * r]),
-                 4: np.array([0.0, -0.5 * r, 0.1 * r])}
-
-    def fold_face(name):
-        return (FACE_FOLD, name, _fan(polys[name][0]))
-
-    spec_faces = {
-        1: [fold_face("S1"), fold_face("S2"),
-            (FACE_GAMMA_BARE, "gamma_1", disk_sector(q2, q1)),
-            (FACE_CLIP, "sphere_1", patch([(q2, q1), (q1, sp1), (sp1, q2)]))],
-        2: [fold_face("S3"), fold_face("S4"),
-            (FACE_GAMMA_BARE, "gamma_2", disk_sector(q4, q3)),
-            (FACE_CLIP, "sphere_2", patch([(q4, q3), (q3, sp2), (sp2, q4)]))],
-        3: [fold_face("S1"), fold_face("S4"), fold_face("V"),
-            (FACE_GAMMA_SECTOR, "H1", _fan(polys["H1"][0])),
-            (FACE_CLIP, "sphere_3", patch([(q1, q4), (q4, sp2), (sp2, sp1),
-                                           (sp1, q1)]))],
-        4: [fold_face("S2"), fold_face("S3"), fold_face("V"),
-            (FACE_GAMMA_SECTOR, "H2", _fan(polys["H2"][0])),
-            (FACE_CLIP, "sphere_4", patch([(q2, q3), (q3, sp2), (sp2, sp1),
-                                           (sp1, q2)]))],
-    }
-    regions = []
-    for i, entries in spec_faces.items():
-        faces = []
-        for kind, name, tris in entries:
-            tris = [(np.asarray(a, float), np.asarray(bb, float),
-                     np.asarray(c, float)) for a, bb, c in tris]
-            faces.append(RegionFace(kind, name, _orient_out(tris, interiors[i])))
-        regions.append(Region(i, tuple(faces)))
-    return Partition(W_BETA, tuple(regions))
 
 
 def region_partition(spec: ConeSpec, clip: Optional[ClipRegion] = None) -> Partition:
     """Closed polyhedral boundaries of the complement regions inside the
     clip: cone folds, clip faces, and sliding-plane patches, all oriented
-    outward.  For the ball clip the spherical caps are triangulated; the
-    regions remain exactly closed polyhedra, which is what the flux checks
-    need."""
+    outward.  Every clip is a convex polytope, so each region is the
+    intersection of half-spaces and its faces are exact convex polygons."""
     _check_not_product(spec)
     if clip is None:
         clip = default_clip(spec)
     _check_clip(spec, clip)
-    if spec.variant == T_PLUS:
-        return _t_plus_partition()
-    if spec.variant in (Y_BETA, YBAR_BETA):
-        return _y_partition(spec, clip)
-    return _w_partition(spec, clip)
+    return _partition(spec, _clip_halfspaces(spec, clip))
 
 
 def partition_cone_energy(partition: Partition, alpha: float) -> float:

@@ -53,10 +53,10 @@ class EvolveConfig:
     """Settings for a descent run.
 
     ``pin`` is a boolean vertex mask or a predicate mapping an (n, 3)
-    vertex array to one; None pins the mesh rim (boundary vertices having
-    at least one boundary edge off the sliding plane).  The step is capped
-    each iteration so no vertex moves more than a quarter of the current
-    minimum edge length.
+    vertex array to one; None pins the mesh rim (``rim_pin_mask``: the
+    ends of boundary edges off the sliding plane or on an on-Gamma
+    triangle).  The step is capped each iteration so no vertex moves more
+    than a quarter of the current minimum edge length.
     """
 
     alpha: float
@@ -77,20 +77,23 @@ class EvolveTrace:
 
 
 def rim_pin_mask(mesh: geom.Mesh) -> np.ndarray:
-    """Vertices on the mesh rim that must stay put: endpoints of boundary
-    edges not contained in the sliding plane.  Boundary edges inside the
-    plane stay slidable."""
+    """Vertices on the mesh rim that must stay put: both ends of every
+    boundary edge that is not contained in the sliding plane or that
+    belongs to an on-Gamma triangle (the rim of a cone-owned sector of the
+    plane, which lies on the clip wall).  The remaining boundary edges,
+    traces of folds in the plane, stay slidable."""
     n = mesh.n_vertices
     t = mesh.triangles.astype(np.int64)
     i, j = t.ravel(), np.roll(t, -1, axis=1).ravel()
-    keys, counts = np.unique(np.minimum(i, j) * n + np.maximum(i, j),
-                             return_counts=True)
-    lo, hi = np.divmod(keys[counts == 1], n)
+    edges = np.minimum(i, j) * n + np.maximum(i, j)
+    keys, counts = np.unique(edges, return_counts=True)
+    rim = keys[counts == 1]
+    lo, hi = np.divmod(rim, n)
     flat = np.abs(mesh.vertices[:, 2]) <= SLIDE_Z_TOL
-    off = ~(flat[lo] & flat[hi])
+    keep = ~(flat[lo] & flat[hi]) | np.isin(rim, edges[np.repeat(mesh.gamma, 3)])
     pin = np.zeros(n, dtype=bool)
-    pin[lo[off]] = True
-    pin[hi[off]] = True
+    pin[lo[keep]] = True
+    pin[hi[keep]] = True
     return pin
 
 

@@ -229,8 +229,9 @@ def write_off(mesh: Mesh, path) -> Path:
 def read_off(path) -> Mesh:
     """Read an ASCII OFF file; Gamma flags come from the sidecar if present.
 
-    Loaded flags are validated against the |z| <= 1e-9 rule by the Mesh
-    constructor.
+    A sidecar without a ``gamma_triangles`` list, or with an index outside
+    [0, nf), raises ValueError.  Loaded flags are validated against the
+    |z| <= 1e-9 rule by the Mesh constructor.
     """
     path = Path(path)
     tokens = path.read_text().split()
@@ -249,6 +250,11 @@ def read_off(path) -> Mesh:
     gamma = np.zeros(nf, dtype=bool)
     sidecar = _sidecar_path(path)
     if sidecar.exists():
-        idx = json.loads(sidecar.read_text())["gamma_triangles"]
-        gamma[np.asarray(idx, dtype=int)] = True
+        data = json.loads(sidecar.read_text())
+        if not isinstance(data, dict) or "gamma_triangles" not in data:
+            raise ValueError(f"{sidecar}: no gamma_triangles list")
+        idx = np.asarray(data["gamma_triangles"], dtype=int)
+        if idx.size and (idx.min() < 0 or idx.max() >= nf):
+            raise ValueError(f"{sidecar}: gamma triangle index outside [0, {nf})")
+        gamma[idx] = True
     return Mesh(verts, tris, gamma)

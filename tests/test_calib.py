@@ -137,11 +137,13 @@ PARTITIONS = [
     (cones2d.y_beta(0.7), calib.rotated_y_calibration(0.7, "y")),
     (cones2d.ybar_beta(0.7), calib.rotated_y_calibration(0.7, "ybar")),
     (cones2d.w_beta(0.5), calib.w_beta_calibration(0.5)),
-]
+] + [(cones2d.w_beta(b), calib.w_beta_calibration(b))
+     for b in (0.05, math.pi / 4, math.asin(1 / SQ3), 1.2)]
+PARTITION_IDS = [s.variant for s, _ in PARTITIONS[:4]] + [
+    f"w_beta-{s.beta:.4f}" for s, _ in PARTITIONS[4:]]
 
 
-@pytest.mark.parametrize("spec,cal", PARTITIONS,
-                         ids=[s.variant for s, _ in PARTITIONS])
+@pytest.mark.parametrize("spec,cal", PARTITIONS, ids=PARTITION_IDS)
 def test_divergence_balance(spec, cal):
     part = cones2d.region_partition(spec)
     for region, (flux, area) in calib.divergence_balance(part, cal).items():
@@ -172,8 +174,7 @@ def test_tetrahedron_with_any_constant_field():
     assert abs(flux) <= 1e-14
 
 
-@pytest.mark.parametrize("spec,cal", PARTITIONS,
-                         ids=[s.variant for s, _ in PARTITIONS])
+@pytest.mark.parametrize("spec,cal", PARTITIONS, ids=PARTITION_IDS)
 def test_lower_bound_constant_matches_clipped_cone(spec, cal):
     # the divergence-theorem constant equals the weighted area of the
     # clipped cone at its required alpha (the equality case of the bound)

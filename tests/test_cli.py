@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from slidecal import cones2d, geom
+from slidecal import cli, cones2d, geom
 
 J_CONE = 4.0 * math.sqrt(2.0) / 3.0
 
@@ -148,3 +148,43 @@ def test_usage_errors_exit_one():
     assert code == 1
     code, _, err = run_cli("energy", "--alpha", "0.5", "/nonexistent/mesh.off")
     assert code == 1
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    code = ("import sys, slidecal.cli; "
+            "print('scipy.integrate' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("sidecar", ['{"gamma": []}\n',
+                                     '{"gamma_triangles": [0, 6]}\n',
+                                     '{"gamma_triangles": [-1]}\n'],
+                         ids=["missing-key", "index-past-end", "negative-index"])
+def test_damaged_sidecar_exits_one_with_one_line(tmp_path, capsys, t_plus_off,
+                                                 sidecar):
+    path = tmp_path / "m.off"
+    path.write_text(t_plus_off.read_text())        # 6 triangles
+    (tmp_path / "m.off.json").write_text(sidecar)
+    assert cli.main(["energy", "--alpha", "0.5", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_evolve_prints_energy_of_written_mesh(tmp_path, capsys):
+    spec = cones2d.y_beta(0.5)
+    mesh_path, out_path = tmp_path / "y.off", tmp_path / "final.off"
+    geom.write_off(cones2d.build(spec, refine=1), mesh_path)
+    alpha = f"{cones2d.required_alpha(spec).value:.17g}"
+    assert cli.main(["evolve", "--in", str(mesh_path), "--alpha", alpha,
+                     "--jitter", "1e-3", "--seed", "3",
+                     "--out", str(out_path)]) == 0
+    evolved = capsys.readouterr().out
+    assert cli.main(["energy", "--alpha", alpha, str(out_path)]) == 0
+    energy = capsys.readouterr().out
+    final = next(line for line in evolved.splitlines()
+                 if line.startswith("final j_alpha"))
+    printed = next(line for line in energy.splitlines()
+                   if line.startswith("j_alpha"))
+    assert final.split("=")[1].strip() == printed.split("=")[1].strip()

@@ -40,7 +40,7 @@ def test_build_refinement_stable():
 
 def test_build_rejects_incompatible_clip():
     with pytest.raises(ValueError):
-        cones2d.build(cones2d.t_plus(), cones2d.ball_clip())
+        cones2d.build(cones2d.t_plus(), cones2d.box_clip())
     with pytest.raises(ValueError):
         cones2d.build(cones2d.y_beta(0.5), cones2d.simplex_clip())
 
@@ -250,15 +250,44 @@ def test_fubini_inequality_perturbed():
         assert integral <= direct + 1e-9
 
 
+W_BETAS = (0.05, math.pi / 4, math.asin(1 / SQ3), 1.2)
+
+
 def test_partition_closes_and_matches_build():
     # the weighted area of the cone pieces recorded in a partition matches
-    # an independent evaluation through the mesh builder (prism clip)
-    spec = cones2d.y_beta(0.9)
-    part = cones2d.region_partition(spec)
-    alpha = cones2d.required_alpha(spec).value
-    j_part = cones2d.partition_cone_energy(part, alpha)
-    j_mesh = geom.energy(cones2d.build(spec), alpha).j_alpha
-    assert j_part == pytest.approx(j_mesh, rel=1e-12)
+    # an independent evaluation through the mesh builder (prism and box)
+    for spec in (cones2d.y_beta(0.9), *map(cones2d.w_beta, W_BETAS)):
+        part = cones2d.region_partition(spec)
+        alpha = cones2d.required_alpha(spec).value
+        j_part = cones2d.partition_cone_energy(part, alpha)
+        j_mesh = geom.energy(cones2d.build(spec), alpha).j_alpha
+        assert j_part == pytest.approx(j_mesh, rel=1e-12), spec
+
+
+def test_w_box_mesh_is_small():
+    for beta in (*W_BETAS, 0.3, 0.5):
+        m = cones2d.build(cones2d.w_beta(beta))
+        assert 0 < m.n_triangles <= 20, beta
+        assert m.gamma.any()
+
+
+def test_w_builds_at_right_angle():
+    # at beta = pi/2 both spines are the z axis and the V sector is empty;
+    # four vertical folds of width 2/sqrt(3) and the two 60-degree plane
+    # sectors remain
+    m = cones2d.build(cones2d.w_beta(math.pi / 2))
+    e = geom.energy(m, 0.0)
+    assert e.area_off_gamma == pytest.approx(8.0 / SQ3, rel=1e-12)
+    assert e.area_on_gamma == pytest.approx(2.0 / SQ3, rel=1e-12)
+
+
+def test_box_clip_scales_energy():
+    spec = cones2d.w_beta(0.5)
+    j1 = geom.energy(cones2d.build(spec), 0.4).j_alpha
+    j3 = geom.energy(cones2d.build(spec, cones2d.box_clip(3.0)), 0.4).j_alpha
+    assert j3 == pytest.approx(9.0 * j1, rel=1e-12)
+    with pytest.raises(ValueError):
+        cones2d.box_clip(0.0)
 
 
 def test_spines():

@@ -48,18 +48,21 @@ def test_rim_pin_mask_half_t():
     assert not pin[bottom].any()
 
 
-def _rim_pin_oracle(mesh):
+def _rim_pin_oracle(mesh, gamma_rim=True):
     """Edge-count dict loop: pin both ends of every boundary edge that is
-    not inside the sliding plane."""
-    edge_count = {}
-    for a, b, c in mesh.triangles:
+    not inside the sliding plane or (with ``gamma_rim``) that belongs to an
+    on-Gamma triangle.  ``gamma_rim=False`` is the older rule, which leaves
+    the clip-wall rim of the plane sectors sliding."""
+    edge_tris = {}
+    for k, (a, b, c) in enumerate(mesh.triangles):
         for i, j in ((a, b), (b, c), (c, a)):
-            key = (min(i, j), max(i, j))
-            edge_count[key] = edge_count.get(key, 0) + 1
+            edge_tris.setdefault((min(i, j), max(i, j)), []).append(k)
     pin = np.zeros(mesh.n_vertices, dtype=bool)
     z = mesh.vertices[:, 2]
-    for (i, j), count in edge_count.items():
-        if count == 1 and not (abs(z[i]) <= 1e-12 and abs(z[j]) <= 1e-12):
+    for (i, j), tris in edge_tris.items():
+        in_plane = abs(z[i]) <= 1e-12 and abs(z[j]) <= 1e-12
+        if len(tris) == 1 and (not in_plane or
+                               (gamma_rim and mesh.gamma[tris[0]])):
             pin[i] = pin[j] = True
     return pin
 
@@ -75,6 +78,54 @@ def test_rim_pin_mask_matches_edge_count_oracle(spec, refine):
     pin = evolve.rim_pin_mask(m)
     assert pin.any()
     assert np.array_equal(pin, _rim_pin_oracle(m))
+
+
+def _projected_gradient_max(mesh, alpha, pinned):
+    """Largest |grad J| over the vertices after the projection descent
+    applies: zero on pinned vertices, in-plane on sliding ones."""
+    P, T = mesh.vertices.T.copy(), np.ascontiguousarray(mesh.triangles.T)
+    weights = np.where(mesh.gamma, alpha, 1.0)
+    geo, _ = evolve._eval(P, T, weights)
+    sliding = np.abs(P[2]) <= evolve.SLIDE_Z_TOL
+    grad = evolve._project(
+        evolve._gradient(geo, T, weights, mesh.n_vertices), pinned, sliding)
+    return float(evolve._norm(grad).max())
+
+
+TILTED = [cones2d.y_beta(0.5), cones2d.y_beta(1.3), cones2d.ybar_beta(0.5),
+          cones2d.w_beta(0.3), cones2d.w_beta(0.5)]
+
+
+@pytest.mark.parametrize("spec", TILTED,
+                         ids=[f"{s.variant}-{s.beta}" for s in TILTED])
+def test_tilted_cones_are_critical_at_required_alpha(spec):
+    # the calibrated cone is a critical point of the discrete problem under
+    # the default pins; with the clip-wall rim of the plane sectors left
+    # sliding (the older rule) it is not
+    alpha = cones2d.required_alpha(spec).value
+    for refine in range(4):
+        m = cones2d.build(spec, refine=refine)
+        assert _projected_gradient_max(m, alpha, evolve.rim_pin_mask(m)) <= 1e-13
+    m = cones2d.build(spec, refine=1)
+    assert _projected_gradient_max(
+        m, alpha, _rim_pin_oracle(m, gamma_rim=False)) > 0.1
+
+
+def test_descent_does_not_beat_calibrated_y_cone():
+    spec = cones2d.y_beta(0.5)
+    alpha = cones2d.required_alpha(spec).value
+    cone = cones2d.build(spec, refine=2)
+    j_cone = geom.energy(cone, alpha).j_alpha
+    trace = evolve.descend(evolve.jitter(cone, 1e-3, seed=3),
+                           evolve.EvolveConfig(alpha=alpha))
+    assert trace.converged
+    assert j_cone - 1e-12 <= trace.energies[-1] <= j_cone + 1e-6
+    # negative control: with the older pins the clip-wall vertices slide
+    # and descent drags the weighted sector away
+    old = _rim_pin_oracle(cone, gamma_rim=False)
+    trace = evolve.descend(evolve.jitter(cone, 1e-3, seed=3, pin=old),
+                           evolve.EvolveConfig(alpha=alpha, pin=old))
+    assert trace.energies[-1] < j_cone - 1.0
 
 
 def test_gradient_check_smooth_mesh():
