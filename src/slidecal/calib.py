@@ -247,15 +247,6 @@ def lower_bound_constant(partition: cones2d.Partition, cal: Calibration) -> tupl
     w_bare_z = float(cal.vector(bare_regions[0]) @ geom.Z_HAT)
     constant = math.fsum(clip_flux_terms) - w_bare_z * math.fsum(gamma_area_terms)
 
-    if partition.variant == cones2d.T_PLUS:
-        alpha_star = math.sqrt(2.0 / 3.0)
-    else:
-        # the dihedral cosine of any sloping fold is the required alpha
-        fold_face = next(f for region in partition.regions
-                         for f in region.faces if f.kind == cones2d.FACE_FOLD
-                         and f.name not in ("V", "vertical"))
-        a, b, c = fold_face.triangles[0]
-        n = geom.unit(np.cross(b - a, c - a))
-        alpha_star = abs(float(n @ geom.Z_HAT))
+    alpha_star = cones2d.required_alpha(partition.spec).value
     j_cone = cones2d.partition_cone_energy(partition, alpha_star)
     return constant, j_cone

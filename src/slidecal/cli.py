@@ -57,7 +57,7 @@ def _write_report(args, outputs: dict, started: float):
     if not getattr(args, "report", None):
         return
     report = {
-        "command": " ".join(sys.argv[1:]),
+        "command": " ".join(args._argv),
         "inputs_digest": _digest(getattr(args, "_input_paths", [])),
         "outputs": outputs,
         "version": __version__,
@@ -243,6 +243,8 @@ def _cmd_net(args) -> int:
     args._input_paths = [getattr(args, "in")]
     with open(getattr(args, "in")) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict) or not {"nodes", "arcs"} <= data.keys():
+        raise ValueError(f"{getattr(args, 'in')}: needs 'nodes' and 'arcs'")
     net = spherenet.HemisphereNet(np.asarray(data["nodes"], dtype=float),
                                   tuple(tuple(a) for a in data["arcs"]))
     junction = spherenet.junction_check(net)
@@ -384,8 +386,9 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser().parse_args(argv)
+    args._argv = argv
     try:
         return args.func(args)
     except (OSError, json.JSONDecodeError) as exc:

@@ -463,62 +463,24 @@ def _clip_halfspaces(spec: ConeSpec, clip: ClipRegion) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Polygon machinery (folds are convex planar sectors, clips are convex)
+# Meshes from convex faces
 # ---------------------------------------------------------------------------
-
-def _clip_polygon(pts, n, d, eps=1e-12):
-    """Sutherland-Hodgman clip of a planar polygon by {p : n.p <= d}."""
-    out = []
-    k = len(pts)
-    for idx in range(k):
-        p, q = pts[idx], pts[(idx + 1) % k]
-        dp, dq = float(n @ p) - d, float(n @ q) - d
-        if dp <= eps:
-            out.append(p)
-        if (dp <= eps) != (dq <= eps):
-            t = dp / (dp - dq)
-            out.append(p + t * (q - p))
-    return out
-
-
-def _dedupe_ring(pts, tol):
-    out = []
-    for p in pts:
-        if not out or np.linalg.norm(p - out[-1]) > tol:
-            out.append(p)
-    if len(out) > 1 and np.linalg.norm(out[0] - out[-1]) <= tol:
-        out.pop()
-    return out
-
-
-def _polygon_in_plane(normal, halfspaces, extent):
-    """Convex polygon cut from the plane {normal . p = 0} by halfspaces
-    (n, d) meaning n.p <= d.  Starts from a large square in the plane."""
-    n0 = geom.unit(normal)
-    seed = np.array([0.0, 0.0, 1.0]) if abs(n0[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
-    u = geom.unit(np.cross(n0, seed))
-    v = np.cross(n0, u)
-    r = extent
-    pts = [r * (u * cx + v * cy) for cx, cy in
-           ((-1, -1), (1, -1), (1, 1), (-1, 1))]
-    for n, d in halfspaces:
-        pts = _clip_polygon(pts, np.asarray(n, dtype=float), float(d))
-        pts = _dedupe_ring(pts, 1e-10 * extent)
-        if len(pts) < 3:
-            return []
-    return pts
-
 
 def _fan(pts):
     """Fan triangulation of a convex polygon (list of (3,) points)."""
     return [(pts[0], pts[i], pts[i + 1]) for i in range(1, len(pts) - 1)]
 
 
+# A triangle whose area is at most this times its longest edge squared is
+# a sliver below rounding resolution: c * eps with c = 45, about 1e-14.
+_SLIVER_RATIO = 45 * np.finfo(float).eps
+
+
 def _mesh_from_faces(faces, refine=0) -> geom.Mesh:
     """Faces: iterable of (triangle list, gamma flag).  Vertices are merged
     across faces (12-decimal key) so fold seams are stitched and the mesh
-    boundary is the true rim; clipping slivers are dropped; the result is
-    midpoint-subdivided ``refine`` times."""
+    boundary is the true rim; slivers (``_SLIVER_RATIO``) are dropped; the
+    result is midpoint-subdivided ``refine`` times."""
     verts, tris, flags = [], [], []
     index = {}
 
@@ -533,7 +495,9 @@ def _mesh_from_faces(faces, refine=0) -> geom.Mesh:
 
     for tri_list, g in faces:
         for a, b, c in tri_list:
-            if geom.triangle_area(a, b, c) <= 1e-13:
+            longest = max(np.linalg.norm(np.subtract(p, q))
+                          for p, q in ((a, b), (b, c), (c, a)))
+            if geom.triangle_area(a, b, c) <= _SLIVER_RATIO * longest ** 2:
                 continue
             tris.append((vid(a), vid(b), vid(c)))
             flags.append(g)
@@ -576,67 +540,6 @@ def _t_plus_faces():
 
 
 # ---------------------------------------------------------------------------
-# Builders: tilted Y cones and the double Y
-# ---------------------------------------------------------------------------
-
-def _fold_sector(normal, ray, spine):
-    """Sector of the plane {normal . p = 0} between a trace ray in the
-    sliding plane and a spine: z >= 0 together with the half-plane,
-    bounded by the spine line, containing the ray."""
-    side = geom.unit(ray - (ray @ spine) * spine)
-    return normal, [(Z_DOWN, 0.0), (-side, 0.0)], False
-
-
-def _sectors(spec: ConeSpec) -> list:
-    """The cone's planar sectors as (plane normal, the two half-spaces
-    bounding the sector, gamma flag): folds first, then the cone-owned
-    sectors of the sliding plane."""
-    s, c = math.sin(spec.beta), math.cos(spec.beta)
-    t = SQ3 * s
-    rays = gamma_rays(spec)
-    if spec.variant == W_BETA:
-        if spec.beta <= 0.0:
-            raise ValueError("double Y needs beta > 0")
-        sp1, sp2 = spines(spec)
-        spine_of = (sp1, sp1, sp2, sp2)
-        out = [_fold_sector(n, q, sp) for n, q, sp
-               in zip(fold_normals(spec), rays, spine_of)]
-        # V: |x| <= z cot(beta) in y = 0; H1 and H2: y >= t|x| and y <= -t|x|
-        out.append((np.array([0.0, 1.0, 0.0]),
-                    [(np.array([s, 0.0, -c]), 0.0),
-                     (np.array([-s, 0.0, -c]), 0.0)], False))
-        for sign in (1.0, -1.0):
-            out.append((Z, [(np.array([t, -sign, 0.0]), 0.0),
-                            (np.array([-t, -sign, 0.0]), 0.0)], True))
-        return out
-    sp = spines(spec)[0]
-    normals = [np.array([0.0, 1.0, 0.0]), *fold_normals(spec)]
-    out = [_fold_sector(n, q, sp) for n, q in zip(normals, rays)]
-    if spec.variant == Y_BETA:
-        # wedge around -x between the two sloping traces
-        wedges = [[(np.array([t, 1.0, 0.0]), 0.0),
-                   (np.array([t, -1.0, 0.0]), 0.0)]]
-    else:
-        # mirror: everything except the open wedge around +x, split at -x
-        wedges = [[(np.array([t, -1.0, 0.0]), 0.0),
-                   (np.array([0.0, -1.0, 0.0]), 0.0)],
-                  [(np.array([t, 1.0, 0.0]), 0.0),
-                   (np.array([0.0, 1.0, 0.0]), 0.0)]]
-    return out + [(Z, w, True) for w in wedges]
-
-
-def _build_sectors(spec: ConeSpec, clip: ClipRegion, refine: int) -> geom.Mesh:
-    hs_clip = [(n, d) for n, d, _, _ in _clip_halfspaces(spec, clip)]
-    extent = 10.0 * (clip.apothem + (clip.half_height or 0.0))
-    faces = []
-    for n, sides, g in _sectors(spec):
-        poly = _polygon_in_plane(n, sides + hs_clip, extent)
-        if len(poly) >= 3:
-            faces.append((_fan(_snap_z(poly)), g))
-    return _mesh_from_faces(faces, refine)
-
-
-# ---------------------------------------------------------------------------
 # Builders: Cartesian products
 # ---------------------------------------------------------------------------
 
@@ -673,11 +576,11 @@ def _build_product(spec: ConeSpec, refine: int) -> geom.Mesh:
 def build(spec: ConeSpec, clip: Optional[ClipRegion] = None, refine: int = 0) -> geom.Mesh:
     """Triangulate a cone inside its clip region.
 
-    Each fold and each cone-owned sector of the sliding plane is a convex
-    sector, cut from its plane by two half-spaces and the clip faces and
-    fan-triangulated exactly; sliding-plane sectors are flagged on-Gamma.
-    ``refine`` only subdivides triangles (geometry is fixed), so energies
-    are refinement-stable.
+    A tilted cone's mesh is made of the cone faces of its region partition:
+    each fold and each cone-owned sector of the sliding plane, taken once,
+    is an exact convex polygon cut by half-spaces, fan-triangulated, with
+    the sliding-plane sectors flagged on-Gamma.  ``refine`` only subdivides
+    triangles (geometry is fixed), so energies are refinement-stable.
     """
     if clip is None:
         clip = default_clip(spec)
@@ -686,7 +589,9 @@ def build(spec: ConeSpec, clip: Optional[ClipRegion] = None, refine: int = 0) ->
         return _mesh_from_faces(_t_plus_faces(), refine)
     if spec.variant == PRODUCT:
         return _build_product(spec, refine)
-    return _build_sectors(spec, clip, refine)
+    faces = _cone_faces(_partition(spec, clip))
+    return _mesh_from_faces([(f.triangles, f.kind == FACE_GAMMA_SECTOR)
+                             for f in faces], refine)
 
 
 # ---------------------------------------------------------------------------
@@ -712,7 +617,7 @@ class Region:
 
 @dataclass(frozen=True)
 class Partition:
-    variant: str
+    spec: ConeSpec
     regions: tuple
 
 
@@ -761,12 +666,15 @@ def _region_from_halfspaces(index, labeled_halfspaces, tol=1e-9):
     return Region(index, tuple(faces))
 
 
-def _partition(spec: ConeSpec, clip_halfspaces: list) -> Partition:
+def _partition(spec: ConeSpec, clip: ClipRegion) -> Partition:
     """Region i is cut out by every fold bordering it (on its side of the
     fold normal), by z >= 0 (a cone-owned sector of the sliding plane
     where ``gamma_sectors`` puts one below it, else bare plane) and by the
     clip faces."""
+    if spec.variant == W_BETA and spec.beta <= 0.0:
+        raise ValueError("double Y needs beta > 0")
     sectors = {s.region: s.name for s in gamma_sectors(spec)}
+    clip_halfspaces = _clip_halfspaces(spec, clip)
     regions = []
     for i in range(1, region_count(spec) + 1):
         hs = [((1.0 if i == f.regions[0] else -1.0) * f.normal, 0.0,
@@ -776,7 +684,7 @@ def _partition(spec: ConeSpec, clip_halfspaces: list) -> Partition:
         else:
             hs.append((Z_DOWN, 0.0, FACE_GAMMA_BARE, f"gamma_{i}"))
         regions.append(_region_from_halfspaces(i, hs + clip_halfspaces))
-    return Partition(spec.variant, tuple(regions))
+    return Partition(spec, tuple(regions))
 
 
 def region_partition(spec: ConeSpec, clip: Optional[ClipRegion] = None) -> Partition:
@@ -788,19 +696,25 @@ def region_partition(spec: ConeSpec, clip: Optional[ClipRegion] = None) -> Parti
     if clip is None:
         clip = default_clip(spec)
     _check_clip(spec, clip)
-    return _partition(spec, _clip_halfspaces(spec, clip))
+    return _partition(spec, clip)
+
+
+def _cone_faces(partition: Partition) -> list:
+    """The cone's own faces in a partition: every fold and cone-owned
+    sliding-plane sector once, as first met in region order."""
+    faces = {}
+    for region in partition.regions:
+        for f in region.faces:
+            if f.kind in (FACE_FOLD, FACE_GAMMA_SECTOR):
+                faces.setdefault(f.name, f)
+    return list(faces.values())
 
 
 def partition_cone_energy(partition: Partition, alpha: float) -> float:
     """Weighted area of the cone surface recorded in a partition (each fold
     counted once, sliding-plane sectors weighted by alpha)."""
-    seen = {}
-    for region in partition.regions:
-        for f in region.faces:
-            if f.kind in (FACE_FOLD, FACE_GAMMA_SECTOR) and f.name not in seen:
-                seen[f.name] = (f.kind, f.area)
-    return math.fsum(a if kind == FACE_FOLD else alpha * a
-                     for kind, a in seen.values())
+    return math.fsum(f.area if f.kind == FACE_FOLD else alpha * f.area
+                     for f in _cone_faces(partition))
 
 
 # ---------------------------------------------------------------------------

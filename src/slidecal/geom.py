@@ -229,15 +229,19 @@ def write_off(mesh: Mesh, path) -> Path:
 def read_off(path) -> Mesh:
     """Read an ASCII OFF file; Gamma flags come from the sidecar if present.
 
-    A sidecar without a ``gamma_triangles`` list, or with an index outside
-    [0, nf), raises ValueError.  Loaded flags are validated against the
-    |z| <= 1e-9 rule by the Mesh constructor.
+    A file cut short, a sidecar without a ``gamma_triangles`` list, or a
+    sidecar index outside [0, nf) raises ValueError.  Loaded flags are
+    validated against the |z| <= 1e-9 rule by the Mesh constructor.
     """
     path = Path(path)
     tokens = path.read_text().split()
     if not tokens or tokens[0] != "OFF":
         raise ValueError(f"{path}: not an OFF file")
+    if len(tokens) < 4:
+        raise ValueError(f"{path}: OFF header cut short")
     nv, nf = int(tokens[1]), int(tokens[2])
+    if min(nv, nf) < 0 or len(tokens) < 4 + 3 * nv + 4 * nf:
+        raise ValueError(f"{path}: {nv} vertices and {nf} faces do not fit the file")
     pos = 4  # skip the edge count
     verts = np.array([float(x) for x in tokens[pos:pos + 3 * nv]]).reshape(nv, 3)
     pos += 3 * nv

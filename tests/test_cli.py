@@ -188,3 +188,34 @@ def test_evolve_prints_energy_of_written_mesh(tmp_path, capsys):
     printed = next(line for line in energy.splitlines()
                    if line.startswith("j_alpha"))
     assert final.split("=")[1].strip() == printed.split("=")[1].strip()
+
+
+@pytest.mark.parametrize("keep", [1, 2, 5, -1],
+                         ids=["magic-only", "header-only", "vertices-cut",
+                              "faces-cut"])
+def test_truncated_off_exits_one_with_one_line(tmp_path, capsys, t_plus_off,
+                                               keep):
+    path = tmp_path / "m.off"
+    lines = t_plus_off.read_text().splitlines()[:keep]
+    path.write_text("\n".join(lines) + "\n")
+    assert cli.main(["energy", "--alpha", "0.5", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("data", [{"nodes": [[1.0, 0.0, 0.0]]}, {"arcs": []},
+                                  [[1.0, 0.0, 0.0]]],
+                         ids=["no-arcs", "no-nodes", "not-an-object"])
+def test_damaged_net_exits_one_with_one_line(tmp_path, capsys, data):
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["net", "check", "--in", str(path), "--alpha", "0.5"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_report_records_the_command_it_was_given(tmp_path, capsys, t_plus_off):
+    report = tmp_path / "run.json"
+    argv = ["energy", "--alpha", "0.25", str(t_plus_off), "--report", str(report)]
+    assert cli.main(argv) == 0
+    assert json.loads(report.read_text())["command"] == " ".join(argv)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from slidecal import cones1d, cones2d, geom
+from slidecal import calib, cones1d, cones2d, geom
 
 SQ2 = math.sqrt(2.0)
 SQ3 = math.sqrt(3.0)
@@ -254,15 +254,61 @@ W_BETAS = (0.05, math.pi / 4, math.asin(1 / SQ3), 1.2)
 
 
 def test_partition_closes_and_matches_build():
-    # the weighted area of the cone pieces recorded in a partition matches
-    # an independent evaluation through the mesh builder (prism and box)
+    # the built mesh's energy at alpha* meets the lower-bound constant, which
+    # comes only from the partition's clip and sliding-plane faces (prism
+    # and box)
     for spec in (cones2d.y_beta(0.9), *map(cones2d.w_beta, W_BETAS)):
         part = cones2d.region_partition(spec)
         alpha = cones2d.required_alpha(spec).value
-        j_part = cones2d.partition_cone_energy(part, alpha)
+        constant, _ = calib.lower_bound_constant(part, calib.calibration_for(spec))
         j_mesh = geom.energy(cones2d.build(spec), alpha).j_alpha
-        assert j_part == pytest.approx(j_mesh, rel=1e-12), spec
+        assert constant == pytest.approx(j_mesh, rel=1e-12), spec
 
+
+TILTED_GRID = [(f, b) for f in (cones2d.y_beta, cones2d.ybar_beta)
+               for b in (1e-6, 1e-4, 1e-3, 0.01, 0.3, 0.8, 1.3, math.pi / 2)] + \
+              [(cones2d.w_beta, b) for b in (1e-6, 1e-4, 1e-3, 0.05, 0.3,
+                                             math.asin(1 / SQ3), 1.2, math.pi / 2)]
+
+
+@pytest.mark.parametrize("family, beta", TILTED_GRID,
+                         ids=[f"{f.__name__}-{b:.3g}" for f, b in TILTED_GRID])
+def test_build_energy_is_partition_cone_energy(family, beta):
+    spec = family(beta)
+    alpha = cones2d.required_alpha(spec).value
+    j_mesh = geom.energy(cones2d.build(spec), alpha).j_alpha
+    j_part = cones2d.partition_cone_energy(cones2d.region_partition(spec), alpha)
+    assert abs(j_mesh - j_part) <= 4 * math.ulp(j_part)
+
+
+def _rim_edges(mesh):
+    edges = {}
+    for tri in mesh.triangles.tolist():
+        for a, b in zip(tri, tri[1:] + tri[:1]):
+            key = (min(a, b), max(a, b))
+            edges[key] = edges.get(key, 0) + 1
+    return sum(1 for count in edges.values() if count == 1)
+
+
+@pytest.mark.parametrize("family", [cones2d.y_beta, cones2d.ybar_beta])
+@pytest.mark.parametrize("beta", [1e-6, 1e-4, 1e-3])
+def test_small_beta_fold_seams_close(family, beta):
+    # the three folds meet the plane sectors along shared edges, so the rim
+    # is the clip polygon: 8 vertices and 8 boundary edges, as at beta = 0.5
+    m = cones2d.build(family(beta))
+    assert m.n_vertices == 8
+    assert _rim_edges(m) == 8
+
+
+@pytest.mark.parametrize("apothem", [1e-3, 1.0, 100.0, 1000.0])
+def test_prism_scale_keeps_the_mesh(apothem):
+    spec = cones2d.y_beta(0.5)
+    clip = cones2d.prism_clip(spec, apothem=apothem)
+    m = cones2d.build(spec, clip)
+    assert m.n_triangles == 7
+    alpha = cones2d.required_alpha(spec).value
+    j_part = cones2d.partition_cone_energy(cones2d.region_partition(spec, clip), alpha)
+    assert geom.energy(m, alpha).j_alpha == pytest.approx(j_part, rel=1e-12)
 
 def test_w_box_mesh_is_small():
     for beta in (*W_BETAS, 0.3, 0.5):
@@ -282,10 +328,15 @@ def test_w_builds_at_right_angle():
 
 
 def test_box_clip_scales_energy():
+    # slivers are cut relative to their own size: no triangle of the
+    # unit-box mesh is lost at any box scale, and J scales as s^2
     spec = cones2d.w_beta(0.5)
-    j1 = geom.energy(cones2d.build(spec), 0.4).j_alpha
-    j3 = geom.energy(cones2d.build(spec, cones2d.box_clip(3.0)), 0.4).j_alpha
-    assert j3 == pytest.approx(9.0 * j1, rel=1e-12)
+    unit = cones2d.build(spec)
+    j1 = geom.energy(unit, 0.4).j_alpha
+    for s in (1e-6, 1e-3, 3.0, 1e3):
+        m = cones2d.build(spec, cones2d.box_clip(s))
+        assert m.n_triangles == unit.n_triangles == 13, s
+        assert geom.energy(m, 0.4).j_alpha / s ** 2 == pytest.approx(j1, rel=1e-15), s
     with pytest.raises(ValueError):
         cones2d.box_clip(0.0)
 
