@@ -39,7 +39,6 @@ class Calibration:
 
     name: str
     vectors: np.ndarray          # (k, 3)
-    gamma_adjacent: frozenset    # regions whose closure meets the plane
 
     def __post_init__(self):
         v = np.ascontiguousarray(np.asarray(self.vectors, dtype=float))
@@ -67,7 +66,7 @@ def t_plus_calibration() -> Calibration:
         [1 / (2 * SQ3), 0.5, -1 / (2 * SQ6)],
         [0.0, 0.0, 0.5 * math.sqrt(1.5)],
     ])
-    return Calibration("t_plus", w, frozenset({1, 2, 3, 4}))
+    return Calibration("t_plus", w)
 
 
 def rotated_y_calibration(beta: float, variant: str = "y") -> Calibration:
@@ -85,7 +84,7 @@ def rotated_y_calibration(beta: float, variant: str = "y") -> Calibration:
                            [-1 / (2 * SQ3), 0.5, 0.0],
                            [-1 / (2 * SQ3), -0.5, 0.0]])
     w = planar @ R.matrix.T
-    return Calibration(f"{variant}_beta", w, frozenset({1, 2, 3}))
+    return Calibration(f"{variant}_beta", w)
 
 
 def w_beta_calibration(beta: float) -> Calibration:
@@ -101,7 +100,7 @@ def w_beta_calibration(beta: float) -> Calibration:
         [0.0, 0.5, 0.0],
         [0.0, -0.5, 0.0],
     ])
-    return Calibration("w_beta", w, frozenset({1, 2, 3, 4}))
+    return Calibration("w_beta", w)
 
 
 def calibration_for(spec: cones2d.ConeSpec) -> Calibration:

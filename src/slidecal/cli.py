@@ -11,9 +11,11 @@ Thin adapters over the library: no numerics live here.  Subcommands:
   classify1d  classify a one-dimensional cone given by its ray angles
   fubini      slice-integral versus direct energy of a mesh
 
-Exit codes: 0 success, 1 usage or I/O error, 2 verification failure.
-All numbers print with 17 significant digits, so parsing them back yields
-the library values bit for bit.
+Exit codes: 0 success, 1 usage or I/O error (malformed input included,
+with one ``error:`` line), 2 verification failure.  All numbers print with
+17 significant digits, so parsing them back yields the library values bit
+for bit.  Each ``_cmd_*`` returns its exit code and its outputs; ``main``
+times it and writes the ``--report`` file.
 """
 
 from __future__ import annotations
@@ -43,70 +45,38 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _digest(paths) -> str:
-    h = hashlib.sha256()
-    for p in paths:
-        try:
-            h.update(open(p, "rb").read())
-        except OSError:
-            h.update(str(p).encode())
-    return h.hexdigest()[:16]
-
-
-def _write_report(args, outputs: dict, started: float):
-    if not getattr(args, "report", None):
-        return
-    report = {
-        "command": " ".join(args._argv),
-        "inputs_digest": _digest(getattr(args, "_input_paths", [])),
-        "outputs": outputs,
-        "version": __version__,
-        "wall_time_s": time.time() - started,
-    }
-    with open(args.report, "w") as fh:
-        json.dump(report, fh, indent=2)
-
-
 def _cone_spec(args) -> cones2d.ConeSpec:
     name = args.cone.replace("-", "_")
     if name == "t_plus":
         return cones2d.t_plus()
-    if name in ("y_beta", "ybar_beta", "w_beta"):
-        if args.beta is None:
-            raise SystemExit("error: --beta required for tilted cones")
-        return cones2d.ConeSpec(name, beta=args.beta)
     if name == "product":
-        theta = args.theta
         variant = args.variant1d.replace("-", "_")
-        cone1d = cones1d.Cone1D(variant, theta) \
+        cone1d = cones1d.Cone1D(variant, args.theta) \
             if variant in (cones1d.SLOPED_PLUS_HORIZONTAL, cones1d.VEE) \
             else cones1d.Cone1D(variant)
         return cones2d.product(cone1d, args.length)
-    raise SystemExit(f"error: unknown cone {args.cone!r}")
+    if args.beta is None:
+        raise ValueError("--beta required for tilted cones")
+    return cones2d.ConeSpec(name, beta=args.beta)
 
 
 def _clip_for(args, spec) -> cones2d.ClipRegion:
-    kind = getattr(args, "clip", None)
-    if kind is None:
+    if args.clip is None:
         return cones2d.default_clip(spec)
-    kind = kind.replace("-", "_")
-    if kind == "simplex":
+    if args.clip == "simplex":
         return cones2d.simplex_clip()
-    if kind == "prism":
+    if args.clip == "prism":
         return cones2d.prism_clip(spec, apothem=args.apothem,
                                   half_height=args.half_height)
-    if kind == "box":
+    if args.clip == "box":
         return cones2d.box_clip(apothem=args.apothem)
-    if kind == "slab":
-        return cones2d.slab_clip()
-    raise SystemExit(f"error: unknown clip {kind!r}")
+    return cones2d.slab_clip()
 
 
 # ---------------------------------------------------------------------------
 
 
-def _cmd_build(args) -> int:
-    started = time.time()
+def _cmd_build(args) -> tuple[int, dict]:
     spec = _cone_spec(args)
     mesh = cones2d.build(spec, _clip_for(args, spec), refine=args.refine)
     sidecar = geom.write_off(mesh, args.out)
@@ -115,28 +85,23 @@ def _cmd_build(args) -> int:
           f"{mesh.n_triangles} triangles) + {sidecar}")
     print(f"area_off_gamma = {_fmt(e.area_off_gamma)}")
     print(f"area_on_gamma  = {_fmt(e.area_on_gamma)}")
-    _write_report(args, {"out": str(args.out),
-                         "area_off_gamma": e.area_off_gamma,
-                         "area_on_gamma": e.area_on_gamma}, started)
-    return 0
+    return 0, {"out": str(args.out),
+               "area_off_gamma": e.area_off_gamma,
+               "area_on_gamma": e.area_on_gamma}
 
 
-def _cmd_energy(args) -> int:
-    started = time.time()
-    args._input_paths = [args.mesh]
+def _cmd_energy(args) -> tuple[int, dict]:
     mesh = geom.read_off(args.mesh)
     e = geom.energy(mesh, args.alpha)
     print(f"area_off_gamma = {_fmt(e.area_off_gamma)}")
     print(f"area_on_gamma  = {_fmt(e.area_on_gamma)}")
     print(f"j_alpha        = {_fmt(e.j_alpha)}")
-    _write_report(args, {"area_off_gamma": e.area_off_gamma,
-                         "area_on_gamma": e.area_on_gamma,
-                         "j_alpha": e.j_alpha}, started)
-    return 0
+    return 0, {"area_off_gamma": e.area_off_gamma,
+               "area_on_gamma": e.area_on_gamma,
+               "j_alpha": e.j_alpha}
 
 
-def _cmd_calibrate(args) -> int:
-    started = time.time()
+def _cmd_calibrate(args) -> tuple[int, dict]:
     spec = _cone_spec(args)
     cal = calib.calibration_for(spec)
     report = calib.verify_alignment(spec, cal)
@@ -159,12 +124,10 @@ def _cmd_calibrate(args) -> int:
     for reason in report.reasons:
         print(f"  {reason}")
     print(f"required alpha = {_fmt(report.required_alpha)}")
-    _write_report(args, out, started)
-    return 0 if report.verdict else 2
+    return 0 if report.verdict else 2, out
 
 
-def _cmd_compete(args) -> int:
-    started = time.time()
+def _cmd_compete(args) -> tuple[int, dict]:
     if args.x0 is not None:
         report = compete.competitor_energy(args.x0, args.alpha)
         print(f"x0 = {_fmt(report.x0)}  c = {_fmt(report.c)}")
@@ -172,9 +135,8 @@ def _cmd_compete(args) -> int:
         print(f"j_bound      = {_fmt(report.j_competitor_bound)}")
         print(f"j_cone       = {_fmt(report.j_cone)}")
         print(f"gap_bound    = {_fmt(report.gap_bound)}")
-        _write_report(args, {"gap_bound": report.gap_bound,
-                             "j_quadrature": report.j_competitor_quadrature}, started)
-        return 0
+        return 0, {"gap_bound": report.gap_bound,
+                   "j_quadrature": report.j_competitor_quadrature}
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -193,23 +155,19 @@ def _cmd_compete(args) -> int:
     if found is None:
         print(f"no better competitor at alpha = {_fmt(args.alpha)} "
               f"(threshold {_fmt(compete.ALPHA_THRESHOLD)})")
-        _write_report(args, {"better": None}, started)
-        return 0
+        return 0, {"better": None}
     print(f"better competitor at alpha = {_fmt(args.alpha)}: "
           f"x0 = {_fmt(found.x0)} (log10 {_fmt(found.log10_x0)}), "
           f"certified by {found.certified_by}")
     if found.report is not None:
         print(f"j_quadrature = {_fmt(found.report.j_competitor_quadrature)}"
               f" < j_cone = {_fmt(found.report.j_cone)}")
-    _write_report(args, {"better": {"x0": found.x0,
-                                    "log10_x0": found.log10_x0,
-                                    "certified_by": found.certified_by}}, started)
-    return 0
+    return 0, {"better": {"x0": found.x0,
+                          "log10_x0": found.log10_x0,
+                          "certified_by": found.certified_by}}
 
 
-def _cmd_evolve(args) -> int:
-    started = time.time()
-    args._input_paths = [getattr(args, "in")]
+def _cmd_evolve(args) -> tuple[int, dict]:
     mesh = geom.read_off(getattr(args, "in"))
     if args.seed_contact > 0.0:
         mesh = evolve.seed_contact(mesh, args.seed_contact)
@@ -230,23 +188,17 @@ def _cmd_evolve(args) -> int:
     print(f"iterations = {trace.iterations}  converged = {trace.converged}")
     print(f"final j_alpha = {_fmt(final)}")
     print(f"gamma_contact_area = {_fmt(trace.gamma_contact_area)}")
-    _write_report(args, {"final_j": final,
-                         "gamma_contact_area": trace.gamma_contact_area,
-                         "converged": trace.converged}, started)
-    return 0
+    return 0, {"final_j": final,
+               "gamma_contact_area": trace.gamma_contact_area,
+               "converged": trace.converged}
 
 
-def _cmd_net(args) -> int:
-    started = time.time()
-    if args.action != "check":
-        raise SystemExit(f"error: unknown net action {args.action!r}")
-    args._input_paths = [getattr(args, "in")]
+def _cmd_net(args) -> tuple[int, dict]:
     with open(getattr(args, "in")) as fh:
         data = json.load(fh)
     if not isinstance(data, dict) or not {"nodes", "arcs"} <= data.keys():
         raise ValueError(f"{getattr(args, 'in')}: needs 'nodes' and 'arcs'")
-    net = spherenet.HemisphereNet(np.asarray(data["nodes"], dtype=float),
-                                  tuple(tuple(a) for a in data["arcs"]))
+    net = spherenet.HemisphereNet(data["nodes"], data["arcs"])
     junction = spherenet.junction_check(net)
     equator = spherenet.equator_check(net, args.alpha)
     ok = junction.ok and equator.ok
@@ -258,17 +210,13 @@ def _cmd_net(args) -> int:
     for e in equator.entries:
         if not e.ok:
             print(f"  node {e.node}: {e.reason}")
-    _write_report(args, {"junction_ok": junction.ok, "equator_ok": equator.ok},
-                  started)
-    return 0 if ok else 2
+    return 0 if ok else 2, {"junction_ok": junction.ok, "equator_ok": equator.ok}
 
 
-def _cmd_classify1d(args) -> int:
-    started = time.time()
-    args._input_paths = [getattr(args, "in")]
+def _cmd_classify1d(args) -> tuple[int, dict]:
     with open(getattr(args, "in")) as fh:
         rays = json.load(fh)
-    cone = cones1d.BranchCone(tuple(rays))
+    cone = cones1d.BranchCone(rays)
     verdict = cones1d.classify_branches(cone, args.alpha)
     out = {"minimal": verdict.minimal}
     if verdict.minimal:
@@ -278,13 +226,10 @@ def _cmd_classify1d(args) -> int:
     else:
         out["witness"] = verdict.witness
     print(json.dumps(out))
-    _write_report(args, out, started)
-    return 0
+    return 0, out
 
 
-def _cmd_fubini(args) -> int:
-    started = time.time()
-    args._input_paths = [getattr(args, "in")]
+def _cmd_fubini(args) -> tuple[int, dict]:
     mesh = geom.read_off(getattr(args, "in"))
     axis = {"x": (1, 0, 0), "y": (0, 1, 0), "z": (0, 0, 1)}[args.axis]
     integral, direct = cones2d.fubini_check(mesh, axis, args.alpha,
@@ -293,8 +238,7 @@ def _cmd_fubini(args) -> int:
     print(f"direct energy  = {_fmt(direct)}")
     print(f"difference     = {_fmt(integral - direct)}")
     ok = integral <= direct + 1e-9
-    _write_report(args, {"integral": integral, "direct": direct}, started)
-    return 0 if ok else 2
+    return 0 if ok else 2, {"integral": integral, "direct": direct}
 
 
 # ---------------------------------------------------------------------------
@@ -323,19 +267,16 @@ def _build_parser() -> _Parser:
     p.add_argument("--half-height", dest="half_height", type=float, default=None)
     p.add_argument("--refine", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_build)
 
     p = sub.add_parser("energy", help="weighted area of a mesh")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("mesh")
-    p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_energy)
 
     p = sub.add_parser("calibrate", help="verify a cone's calibration")
     add_cone_args(p)
     p.add_argument("--json", default=None)
-    p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_calibrate)
 
     p = sub.add_parser("compete", help="pinched competitor search")
@@ -343,7 +284,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--x0", type=float, default=None)
     p.add_argument("--csv", default=None)
     p.add_argument("--sweep-points", dest="sweep_points", type=int, default=40)
-    p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_compete)
 
     p = sub.add_parser("evolve", help="sliding gradient descent")
@@ -358,20 +298,17 @@ def _build_parser() -> _Parser:
                    help="press vertices below this height onto the plane first")
     p.add_argument("--out", default=None)
     p.add_argument("--trace", default=None)
-    p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_evolve)
 
     p = sub.add_parser("net", help="spherical network checks")
     p.add_argument("action", choices=["check"])
     p.add_argument("--in", required=True)
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_net)
 
     p = sub.add_parser("classify1d", help="classify a 1D cone")
     p.add_argument("--in", required=True, help="JSON file with the ray angles")
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_classify1d)
 
     p = sub.add_parser("fubini", help="slice integral vs direct energy")
@@ -379,24 +316,38 @@ def _build_parser() -> _Parser:
     p.add_argument("--axis", choices=["x", "y", "z"], required=True)
     p.add_argument("--slices", type=int, default=100)
     p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_fubini)
 
+    # added last, so usage and help list it where they always did
+    for p in sub.choices.values():
+        p.add_argument("--report", default=None)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _build_parser().parse_args(argv)
-    args._argv = argv
     try:
-        return args.func(args)
-    except (OSError, json.JSONDecodeError) as exc:
+        t0 = time.perf_counter()
+        code, outputs = args.func(args)
+        wall_time_s = time.perf_counter() - t0
+        if args.report:
+            source = getattr(args, "in", None) or getattr(args, "mesh", None)
+            digest = hashlib.sha256()
+            if source is not None:
+                with open(source, "rb") as fh:
+                    digest.update(fh.read())
+            report = {"command": " ".join(argv),
+                      "inputs_digest": digest.hexdigest()[:16],
+                      "outputs": outputs,
+                      "version": __version__,
+                      "wall_time_s": wall_time_s}
+            with open(args.report, "w") as fh:
+                json.dump(report, fh, indent=2)
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    return code
 
 
 if __name__ == "__main__":

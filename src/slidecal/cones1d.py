@@ -115,7 +115,10 @@ class BranchCone:
     rays: tuple
 
     def __post_init__(self):
-        rays = tuple(float(r) for r in self.rays)
+        try:
+            rays = tuple(float(r) for r in self.rays)
+        except (TypeError, ValueError):
+            raise ValueError("rays must be a sequence of angles") from None
         object.__setattr__(self, "rays", rays)
         if not 1 <= len(rays) <= 6:
             raise ValueError(f"need 1..6 rays, got {len(rays)}")

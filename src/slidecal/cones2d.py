@@ -387,6 +387,11 @@ def simplex_clip() -> ClipRegion:
     return ClipRegion("simplex")
 
 
+def _check_apothem(kind: str, apothem: float):
+    if not (math.isfinite(apothem) and apothem > 0.0):
+        raise ValueError(f"{kind} clip needs a finite apothem > 0, got {apothem}")
+
+
 def prism_clip(spec: ConeSpec, apothem: float = 1.0,
                half_height: Optional[float] = None) -> ClipRegion:
     """Prism around the spine whose base vertices lie on the cone's folds.
@@ -397,16 +402,19 @@ def prism_clip(spec: ConeSpec, apothem: float = 1.0,
     b = spec.beta
     if b is None or b <= 0.0:
         raise ValueError("prism clip needs beta > 0")
+    _check_apothem("prism", apothem)
     if half_height is None:
         half_height = 2.0 * apothem / math.tan(b) + 1.0
+    elif not math.isfinite(half_height):
+        raise ValueError(
+            f"prism clip needs a finite half_height, got {half_height}")
     if half_height * math.sin(b) - 2.0 * apothem * math.cos(b) <= 0.0:
         raise ValueError("prism bases would intersect the sliding plane")
     return ClipRegion("prism", apothem=apothem, half_height=half_height)
 
 
 def box_clip(apothem: float = 1.0) -> ClipRegion:
-    if apothem <= 0.0:
-        raise ValueError("box clip needs apothem > 0")
+    _check_apothem("box", apothem)
     return ClipRegion("box", apothem=apothem)
 
 
@@ -765,6 +773,8 @@ def fubini_check(mesh: geom.Mesh, axis, alpha: float,
     """Midpoint-rule integral of the slice energies along ``axis`` versus
     the direct weighted area.  Equality holds for flat products; for a
     general surface the integral cannot exceed the area."""
+    if n_slices < 1:
+        raise ValueError(f"need at least one slice, got {n_slices}")
     axis = geom.unit(axis)
     proj = mesh.vertices @ axis
     lo, hi = float(proj.min()), float(proj.max())

@@ -52,19 +52,17 @@ SLIDE_Z_TOL = 1e-12    # initial |z| below this means "on the plane"
 class EvolveConfig:
     """Settings for a descent run.
 
-    ``pin`` is a boolean vertex mask or a predicate mapping an (n, 3)
-    vertex array to one; None pins the mesh rim (``rim_pin_mask``: the
-    ends of boundary edges off the sliding plane or on an on-Gamma
-    triangle).  The step is capped each iteration so no vertex moves more
-    than a quarter of the current minimum edge length.
+    ``pin`` is a boolean vertex mask; None pins the mesh rim
+    (``rim_pin_mask``: the ends of boundary edges off the sliding plane or
+    on an on-Gamma triangle).  The step is capped each iteration so no
+    vertex moves more than a quarter of the current minimum edge length.
     """
 
     alpha: float
     step: float = 0.05
     max_iters: int = 20000
     tol: float = 1e-10
-    pin: Optional[object] = None
-    contact_iters: int = CONTACT_ITERS
+    pin: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -100,17 +98,14 @@ def rim_pin_mask(mesh: geom.Mesh) -> np.ndarray:
 def _resolve_pin(mesh: geom.Mesh, pin) -> np.ndarray:
     if pin is None:
         return rim_pin_mask(mesh)
-    if callable(pin):
-        mask = np.asarray(pin(mesh.vertices), dtype=bool)
-    else:
-        mask = np.asarray(pin, dtype=bool)
+    mask = np.asarray(pin, dtype=bool)
     if mask.shape != (mesh.n_vertices,):
         raise ValueError("pin mask must have one entry per vertex")
     return mask
 
 
 def seed_contact(mesh: geom.Mesh, height: float,
-                 pin: Optional[object] = None) -> geom.Mesh:
+                 pin: Optional[np.ndarray] = None) -> geom.Mesh:
     """Press the unpinned vertices lower than ``height`` onto the sliding
     plane, dropping triangles this degenerates and flagging those that now
     lie in the plane.
@@ -136,7 +131,7 @@ def seed_contact(mesh: geom.Mesh, height: float,
 
 
 def jitter(mesh: geom.Mesh, scale: float, seed: int,
-           pin: Optional[object] = None) -> geom.Mesh:
+           pin: Optional[np.ndarray] = None) -> geom.Mesh:
     """Normal perturbation of the non-pinned vertices (fixed seed).
 
     Sliding vertices are perturbed inside the plane only; free vertices
@@ -261,7 +256,7 @@ def descend(mesh: geom.Mesh, cfg: EvolveConfig) -> EvolveTrace:
         at_floor = movable & ~sliding & (P[2] <= 0.0)
         contact_count[at_floor] += 1
         contact_count[~at_floor] = 0
-        new_sliding = contact_count >= cfg.contact_iters
+        new_sliding = contact_count >= CONTACT_ITERS
         if new_sliding.any():
             sliding |= new_sliding
             contact_count[new_sliding] = 0
@@ -287,7 +282,7 @@ def descend(mesh: geom.Mesh, cfg: EvolveConfig) -> EvolveTrace:
 
 def gradient_check(mesh: geom.Mesh, alpha: float, h: float = 1e-5,
                    n_vertices: int = 50, seed: int = 0,
-                   pin: Optional[object] = None) -> float:
+                   pin: Optional[np.ndarray] = None) -> float:
     """Central finite differences of the weighted area against the
     analytic gradient on a random sample of movable vertices; returns the
     maximum relative defect.

@@ -22,6 +22,7 @@ identically (substitute cos a = 1 - 2 sin(a/2)^2).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -82,11 +83,17 @@ class HemisphereNet:
 
     def __post_init__(self):
         nodes = np.ascontiguousarray(np.asarray(self.nodes, dtype=float))
-        arcs = tuple((int(i), int(j)) for i, j in self.arcs)
+        if nodes.ndim != 2 or nodes.shape[1] != 3:
+            raise ValueError(f"nodes must be 3-vectors, got shape {nodes.shape}")
+        try:
+            arcs = tuple((operator.index(i), operator.index(j))
+                         for i, j in self.arcs)
+        except (TypeError, ValueError):
+            raise ValueError("arcs must be pairs of node indices") from None
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "arcs", arcs)
         r = np.linalg.norm(nodes, axis=1)
-        if np.any(np.abs(r - 1.0) > NODE_TOL):
+        if not np.all(np.abs(r - 1.0) <= NODE_TOL):
             raise ValueError("all nodes must lie on the unit sphere")
         if np.any(nodes[:, 2] < -NODE_TOL):
             raise ValueError("all nodes must lie on the closed upper hemisphere")

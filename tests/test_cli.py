@@ -1,19 +1,35 @@
+import hashlib
 import json
 import math
+import re
 import subprocess
 import sys
 
 import pytest
 
-from slidecal import cli, cones2d, geom
+from slidecal import __version__, cli, cones2d, geom
 
 J_CONE = 4.0 * math.sqrt(2.0) / 3.0
 
 
-def run_cli(*args):
+def run_module(*args):
+    """Run ``python -m slidecal.cli``: the real entry point and exit code."""
     proc = subprocess.run([sys.executable, "-m", "slidecal.cli", *args],
                           capture_output=True, text=True)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.fixture
+def run_cli(capsys):
+    """Run ``cli.main`` in-process; usage errors arrive as SystemExit."""
+    def run(*args):
+        try:
+            code = cli.main([str(a) for a in args])
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        return code, out, err
+    return run
 
 
 def grab(stdout, key):
@@ -26,14 +42,13 @@ def grab(stdout, key):
 @pytest.fixture(scope="module")
 def t_plus_off(tmp_path_factory):
     path = tmp_path_factory.mktemp("mesh") / "t_plus.off"
-    code, out, err = run_cli("build", "--cone", "t-plus", "--out", str(path))
-    assert code == 0, err
+    assert cli.main(["build", "--cone", "t-plus", "--out", str(path)]) == 0
     return path
 
 
 def test_energy_half_t(t_plus_off):
-    code, out, _ = run_cli("energy", "--alpha", "0.8164965809277260",
-                           str(t_plus_off))
+    code, out, _ = run_module("energy", "--alpha", "0.8164965809277260",
+                              str(t_plus_off))
     assert code == 0
     j = grab(out, "j_alpha")
     # printed with 17 significant digits: parses back bit-for-bit
@@ -44,12 +59,12 @@ def test_energy_half_t(t_plus_off):
 
 def test_calibrate_w_beta_inadmissible():
     # sin(0.9) > 1/sqrt(3): verification failure
-    code, out, _ = run_cli("calibrate", "--cone", "w-beta", "--beta", "0.9")
+    code, out, _ = run_module("calibrate", "--cone", "w-beta", "--beta", "0.9")
     assert code == 2
     assert "fail" in out
 
 
-def test_calibrate_w_beta_admissible(tmp_path):
+def test_calibrate_w_beta_admissible(tmp_path, run_cli):
     report = tmp_path / "report.json"
     code, out, _ = run_cli("calibrate", "--cone", "w-beta", "--beta", "0.5",
                            "--json", str(report))
@@ -60,13 +75,13 @@ def test_calibrate_w_beta_admissible(tmp_path):
                          "boundary_coeffs", "verdict"}
 
 
-def test_compete_above_threshold():
+def test_compete_above_threshold(run_cli):
     code, out, _ = run_cli("compete", "--alpha", "0.9")
     assert code == 0
     assert "no better competitor" in out
 
 
-def test_compete_below_threshold_with_csv(tmp_path):
+def test_compete_below_threshold_with_csv(tmp_path, run_cli):
     csv_path = tmp_path / "sweep.csv"
     code, out, _ = run_cli("compete", "--alpha", "0.5", "--csv", str(csv_path),
                            "--sweep-points", "5")
@@ -78,7 +93,7 @@ def test_compete_below_threshold_with_csv(tmp_path):
     assert len(rows) == 6
 
 
-def test_classify1d(tmp_path):
+def test_classify1d(tmp_path, run_cli):
     rays = tmp_path / "rays.json"
     rays.write_text(json.dumps([0.0, math.pi / 2, math.pi]))
     code, out, _ = run_cli("classify1d", "--in", str(rays), "--alpha", "0.5")
@@ -91,7 +106,7 @@ def test_classify1d(tmp_path):
     assert json.loads(out) == {"minimal": False, "witness": "project_to_gamma"}
 
 
-def test_fubini(tmp_path):
+def test_fubini(tmp_path, run_cli):
     mesh_path = tmp_path / "prod.off"
     code, _, err = run_cli("build", "--cone", "product", "--variant1d",
                            "vee", "--theta", str(math.pi / 6),
@@ -103,7 +118,7 @@ def test_fubini(tmp_path):
     assert abs(grab(out, "difference")) <= 1e-9
 
 
-def test_net_check(tmp_path):
+def test_net_check(tmp_path, run_cli):
     spec = cones2d.y_beta(0.7)
     net = cones2d.hemisphere_trace(spec)
     path = tmp_path / "net.json"
@@ -117,7 +132,7 @@ def test_net_check(tmp_path):
     assert code == 2
 
 
-def test_evolve(tmp_path, t_plus_off):
+def test_evolve(tmp_path, t_plus_off, run_cli):
     out_path = tmp_path / "final.off"
     trace_path = tmp_path / "trace.csv"
     code, out, err = run_cli("evolve", "--in", str(t_plus_off),
@@ -132,7 +147,7 @@ def test_evolve(tmp_path, t_plus_off):
     assert final.vertices[:, 2].min() >= -1e-12
 
 
-def test_report_round_trips(tmp_path, t_plus_off):
+def test_report_round_trips(tmp_path, t_plus_off, run_cli):
     report = tmp_path / "run.json"
     code, out, _ = run_cli("energy", "--alpha", "0.25", str(t_plus_off),
                            "--report", str(report))
@@ -143,8 +158,8 @@ def test_report_round_trips(tmp_path, t_plus_off):
     assert data["version"]
 
 
-def test_usage_errors_exit_one():
-    code, _, err = run_cli("energy", "--alpha", "0.5", "--bogus-flag", "x.off")
+def test_usage_errors_exit_one(run_cli):
+    code, _, err = run_module("energy", "--alpha", "0.5", "--bogus-flag", "x.off")
     assert code == 1
     code, _, err = run_cli("energy", "--alpha", "0.5", "/nonexistent/mesh.off")
     assert code == 1
@@ -204,8 +219,15 @@ def test_truncated_off_exits_one_with_one_line(tmp_path, capsys, t_plus_off,
 
 
 @pytest.mark.parametrize("data", [{"nodes": [[1.0, 0.0, 0.0]]}, {"arcs": []},
-                                  [[1.0, 0.0, 0.0]]],
-                         ids=["no-arcs", "no-nodes", "not-an-object"])
+                                  [[1.0, 0.0, 0.0]],
+                                  {"nodes": [[1.0, 0.0, 0.0]], "arcs": [1]},
+                                  {"nodes": [[1.0, 0.0]], "arcs": []},
+                                  {"nodes": [[None, 0.0, 1.0]], "arcs": []},
+                                  {"nodes": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+                                   "arcs": [[0.5, 1]]}],
+                         ids=["no-arcs", "no-nodes", "not-an-object",
+                              "arc-not-a-pair", "node-not-3d",
+                              "null-coordinate", "fractional-index"])
 def test_damaged_net_exits_one_with_one_line(tmp_path, capsys, data):
     path = tmp_path / "net.json"
     path.write_text(json.dumps(data))
@@ -219,3 +241,90 @@ def test_report_records_the_command_it_was_given(tmp_path, capsys, t_plus_off):
     argv = ["energy", "--alpha", "0.25", str(t_plus_off), "--report", str(report)]
     assert cli.main(argv) == 0
     assert json.loads(report.read_text())["command"] == " ".join(argv)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["classify1d", "--in", "{rays}", "--alpha", "0.5"], "sequence of angles"),
+    (["fubini", "--in", "{mesh}", "--axis", "y", "--slices", "0"], "got 0"),
+    (["build", "--cone", "y-beta", "--beta", "0.5", "--clip", "prism",
+      "--apothem", "-1", "--out", "{out}"], "got -1.0"),
+], ids=["rays-not-a-list", "zero-slices", "negative-prism-apothem"])
+def test_bad_input_exits_one_with_one_line(tmp_path, capsys, t_plus_off,
+                                           argv, message):
+    rays = tmp_path / "rays.json"
+    rays.write_text("5")
+    paths = {"rays": rays, "mesh": t_plus_off, "out": tmp_path / "p.off"}
+    assert cli.main([a.format(**paths) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert message in err
+
+
+def _printed(stdout):
+    """The ``name = value`` and ``name: value`` pairs a subcommand printed."""
+    return dict(re.findall(r"(\w[\w ]*?) *[=:] +(\S+)", stdout))
+
+
+# subcommand -> (its arguments, exit code, {report output: printed name});
+# None means the subcommand prints its outputs as one JSON object
+REPORT_CASES = {
+    "build": (["--cone", "t-plus", "--out", "{tmp}/b.off"], 0,
+              {"area_off_gamma": "area_off_gamma",
+               "area_on_gamma": "area_on_gamma"}),
+    "energy": (["--alpha", "0.25", "{mesh}"], 0,
+               {"area_off_gamma": "area_off_gamma",
+                "area_on_gamma": "area_on_gamma", "j_alpha": "j_alpha"}),
+    "calibrate": (["--cone", "y-beta", "--beta", "0.5"], 0,
+                  {"required_alpha": "required alpha",
+                   "verdict": "calibration y_beta"}),
+    "compete": (["--alpha", "0.5", "--x0", "0.01"], 0,
+                {"gap_bound": "gap_bound", "j_quadrature": "j_quadrature"}),
+    "evolve": (["--in", "{mesh}", "--alpha", "0.95", "--iters", "20",
+                "--jitter", "1e-3"], 0,
+               {"final_j": "final j_alpha",
+                "gamma_contact_area": "gamma_contact_area",
+                "converged": "converged"}),
+    "net": (["check", "--in", "{net}", "--alpha", "0.95"], 2,
+            {"junction_ok": "junctions", "equator_ok": "equator"}),
+    "classify1d": (["--in", "{rays}", "--alpha", "0.5"], 0, None),
+    "fubini": (["--in", "{mesh}", "--axis", "y", "--slices", "10"], 0,
+               {"integral": "slice integral", "direct": "direct energy"}),
+}
+
+
+@pytest.mark.parametrize("command", list(REPORT_CASES))
+def test_report_of_every_subcommand(tmp_path, capsys, t_plus_off, command):
+    net = cones2d.hemisphere_trace(cones2d.y_beta(0.7))
+    (tmp_path / "net.json").write_text(json.dumps(
+        {"nodes": net.nodes.tolist(), "arcs": [list(a) for a in net.arcs]}))
+    (tmp_path / "rays.json").write_text(json.dumps([0.0, math.pi / 2, math.pi]))
+    paths = {"tmp": tmp_path, "mesh": t_plus_off,
+             "net": tmp_path / "net.json", "rays": tmp_path / "rays.json"}
+    args, code, shown = REPORT_CASES[command]
+    report = tmp_path / "run.json"
+    argv = [command, *(a.format(**paths) for a in args), "--report", str(report)]
+    assert cli.main(argv) == code
+    out = capsys.readouterr().out
+    data = json.loads(report.read_text())
+    assert list(data) == ["command", "inputs_digest", "outputs", "version",
+                          "wall_time_s"]
+    assert data["command"] == " ".join(argv)
+    source = next((paths[k] for k in ("mesh", "net", "rays")
+                   if f"{{{k}}}" in args), None)
+    content = source.read_bytes() if source else b""
+    assert data["inputs_digest"] == hashlib.sha256(content).hexdigest()[:16]
+    assert data["version"] == __version__
+    assert data["wall_time_s"] >= 0.0
+    outputs = data["outputs"]
+    if shown is None:
+        assert json.loads(out) == outputs
+        return
+    printed = _printed(out)
+    for key, name in shown.items():
+        value = outputs[key]
+        if isinstance(value, bool):
+            assert printed[name] in (str(value), "pass" if value else "fail")
+        elif isinstance(value, float):
+            assert float(printed[name]) == value, key
+        else:
+            assert printed[name] == value, key

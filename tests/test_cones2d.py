@@ -310,6 +310,19 @@ def test_prism_scale_keeps_the_mesh(apothem):
     j_part = cones2d.partition_cone_energy(cones2d.region_partition(spec, clip), alpha)
     assert geom.energy(m, alpha).j_alpha == pytest.approx(j_part, rel=1e-12)
 
+@pytest.mark.parametrize("apothem, half_height, bad",
+                         [(-1.0, None, -1.0), (0.0, None, 0.0),
+                          (math.nan, None, math.nan), (math.inf, None, math.inf),
+                          (1.0, math.nan, math.nan), (1.0, math.inf, math.inf)],
+                         ids=["negative", "zero", "nan", "inf",
+                              "nan-height", "inf-height"])
+def test_prism_clip_rejects_bad_sizes(apothem, half_height, bad):
+    # the bad size is named, not reported later as a degenerate region
+    with pytest.raises(ValueError, match=rf"got {bad}$"):
+        cones2d.prism_clip(cones2d.y_beta(0.5), apothem=apothem,
+                           half_height=half_height)
+
+
 def test_w_box_mesh_is_small():
     for beta in (*W_BETAS, 0.3, 0.5):
         m = cones2d.build(cones2d.w_beta(beta))
