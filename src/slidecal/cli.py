@@ -138,6 +138,8 @@ def _cmd_compete(args) -> tuple[int, dict]:
         return 0, {"gap_bound": report.gap_bound,
                    "j_quadrature": report.j_competitor_quadrature}
     if args.csv:
+        if args.sweep_points < 1:
+            raise ValueError(f"sweep needs at least one point, got {args.sweep_points}")
         with open(args.csv, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["x0", "c", "area_B", "area_V", "j_quad",

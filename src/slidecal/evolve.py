@@ -64,6 +64,14 @@ class EvolveConfig:
     tol: float = 1e-10
     pin: Optional[np.ndarray] = None
 
+    def __post_init__(self):
+        if not (math.isfinite(self.step) and self.step > 0.0):
+            raise ValueError(f"step must be finite and > 0, got {self.step}")
+        if self.max_iters < 0:
+            raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
+        if not (math.isfinite(self.tol) and self.tol >= 0.0):
+            raise ValueError(f"tol must be finite and >= 0, got {self.tol}")
+
 
 @dataclass
 class EvolveTrace:

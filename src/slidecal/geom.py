@@ -177,34 +177,32 @@ def subdivide(mesh: Mesh, levels: int = 1) -> Mesh:
     """
     if levels < 0:
         raise ValueError("levels must be >= 0")
-    verts = [tuple(p) for p in mesh.vertices]
-    tris = [tuple(t) for t in mesh.triangles]
-    flags = list(mesh.gamma)
+    v, t, g = mesh.vertices, mesh.triangles, mesh.gamma
     for _ in range(levels):
-        midpoint = {}
-
-        def mid(i, j):
-            key = (i, j) if i < j else (j, i)
-            if key not in midpoint:
-                p = tuple(0.5 * (np.array(verts[i]) + np.array(verts[j])))
-                midpoint[key] = len(verts)
-                verts.append(p)
-            return midpoint[key]
-
-        new_tris, new_flags = [], []
-        for (a, b, c), f in zip(tris, flags):
-            ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-            new_tris += [(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)]
-            new_flags += [f, f, f, f]
-        tris, flags = new_tris, new_flags
-    return Mesh(np.array(verts), np.array(tris), np.array(flags))
+        # edges (a,b), (b,c), (c,a) of each triangle in turn; midpoints are
+        # numbered by first occurrence along that list
+        n = len(v)
+        i, j = t.ravel(), np.roll(t, -1, axis=1).ravel()
+        keys, first, inverse = np.unique(np.minimum(i, j) * n + np.maximum(i, j),
+                                         return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        lo, hi = np.divmod(keys[order], n)
+        v = np.concatenate([v, 0.5 * (v[lo] + v[hi])])
+        (a, b, c), (ab, bc, ca) = t.T, (n + rank[inverse]).reshape(-1, 3).T
+        t = np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca], axis=1).reshape(-1, 3)
+        g = np.repeat(g, 4)
+    return Mesh(v, t, g)
 
 
 # ---------------------------------------------------------------------------
 # OFF mesh I/O.  ASCII OFF with a JSON sidecar carrying the Gamma flags:
 #   line 1: "OFF"; line 2: "V F 0"; then V lines "x y z" (17 significant
 #   digits) and F lines "3 i j k".  Sidecar: {"gamma_triangles": [...]} at
-#   <path>.json.
+#   <path>.json.  Both blocks are formatted and parsed whole, byte for byte
+#   as line by line: "%.17g" is format(x, ".17g"), and numpy parses a token
+#   as float() and int() do.
 # ---------------------------------------------------------------------------
 
 def _sidecar_path(path) -> Path:
@@ -214,12 +212,10 @@ def _sidecar_path(path) -> Path:
 def write_off(mesh: Mesh, path) -> Path:
     """Write mesh to an ASCII OFF file plus the Gamma-flag sidecar."""
     path = Path(path)
-    lines = ["OFF", f"{mesh.n_vertices} {mesh.n_triangles} 0"]
-    for p in mesh.vertices:
-        lines.append(f"{p[0]:.17g} {p[1]:.17g} {p[2]:.17g}")
-    for t in mesh.triangles:
-        lines.append(f"3 {t[0]} {t[1]} {t[2]}")
-    path.write_text("\n".join(lines) + "\n")
+    nv, nf = mesh.n_vertices, mesh.n_triangles
+    path.write_text(f"OFF\n{nv} {nf} 0\n"
+                    + ("%.17g %.17g %.17g\n" * nv) % tuple(mesh.vertices.ravel().tolist())
+                    + ("3 %d %d %d\n" * nf) % tuple(mesh.triangles.ravel().tolist()))
     sidecar = _sidecar_path(path)
     idx = [int(i) for i in np.nonzero(mesh.gamma)[0]]
     sidecar.write_text(json.dumps({"gamma_triangles": idx}) + "\n")
@@ -242,15 +238,14 @@ def read_off(path) -> Mesh:
     nv, nf = int(tokens[1]), int(tokens[2])
     if min(nv, nf) < 0 or len(tokens) < 4 + 3 * nv + 4 * nf:
         raise ValueError(f"{path}: {nv} vertices and {nf} faces do not fit the file")
-    pos = 4  # skip the edge count
-    verts = np.array([float(x) for x in tokens[pos:pos + 3 * nv]]).reshape(nv, 3)
-    pos += 3 * nv
-    tris = np.empty((nf, 3), dtype=np.int64)
-    for i in range(nf):
-        if int(tokens[pos]) != 3:
-            raise ValueError(f"{path}: face {i} is not a triangle")
-        tris[i] = [int(tokens[pos + 1]), int(tokens[pos + 2]), int(tokens[pos + 3])]
-        pos += 4
+    pos = 4 + 3 * nv  # faces start after the 4 header tokens and the vertices
+    verts = np.array(tokens[4:pos], dtype=float).reshape(nv, 3)
+    faces = np.array(tokens[pos:pos + 4 * nf], dtype=np.int64).reshape(nf, 4)
+    del tokens  # the largest object here: free it before the Mesh checks
+    bad = np.flatnonzero(faces[:, 0] != 3)
+    if bad.size:
+        raise ValueError(f"{path}: face {bad[0]} is not a triangle")
+    tris = faces[:, 1:]
     gamma = np.zeros(nf, dtype=bool)
     sidecar = _sidecar_path(path)
     if sidecar.exists():

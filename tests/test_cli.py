@@ -248,16 +248,30 @@ def test_report_records_the_command_it_was_given(tmp_path, capsys, t_plus_off):
     (["fubini", "--in", "{mesh}", "--axis", "y", "--slices", "0"], "got 0"),
     (["build", "--cone", "y-beta", "--beta", "0.5", "--clip", "prism",
       "--apothem", "-1", "--out", "{out}"], "got -1.0"),
-], ids=["rays-not-a-list", "zero-slices", "negative-prism-apothem"])
+    (["evolve", "--in", "{mesh}", "--alpha", "0.9", "--step", "nan"], "got nan"),
+    (["evolve", "--in", "{mesh}", "--alpha", "0.9", "--step", "0"], "got 0.0"),
+    (["evolve", "--in", "{mesh}", "--alpha", "0.9", "--step", "-0.05"],
+     "got -0.05"),
+    (["evolve", "--in", "{mesh}", "--alpha", "0.9", "--iters", "-1"], "got -1"),
+    (["evolve", "--in", "{mesh}", "--alpha", "0.9", "--tol", "nan"], "got nan"),
+    (["compete", "--alpha", "0.5", "--csv", "{csv}", "--sweep-points", "0"],
+     "at least one point, got 0"),
+    (["compete", "--alpha", "0.5", "--csv", "{csv}", "--sweep-points", "-3"],
+     "at least one point, got -3"),
+], ids=["rays-not-a-list", "zero-slices", "negative-prism-apothem",
+        "nan-step", "zero-step", "negative-step", "negative-iters", "nan-tol",
+        "zero-sweep-points", "negative-sweep-points"])
 def test_bad_input_exits_one_with_one_line(tmp_path, capsys, t_plus_off,
                                            argv, message):
     rays = tmp_path / "rays.json"
     rays.write_text("5")
-    paths = {"rays": rays, "mesh": t_plus_off, "out": tmp_path / "p.off"}
+    paths = {"rays": rays, "mesh": t_plus_off, "out": tmp_path / "p.off",
+             "csv": tmp_path / "sweep.csv"}
     assert cli.main([a.format(**paths) for a in argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert message in err
+    assert not paths["out"].exists() and not paths["csv"].exists()
 
 
 def _printed(stdout):

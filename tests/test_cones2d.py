@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -229,6 +230,18 @@ def test_fubini_single_slice_exact():
     m = cones2d.build(cones2d.product(ALL_1D[3], 1.0))
     integral, direct = cones2d.fubini_check(m, Y_AXIS, 0.4, n_slices=1)
     assert abs(integral - direct) <= 1e-12
+
+
+@pytest.mark.parametrize("length", [1e-9, 1e-12])
+def test_fubini_short_products_finish(length):
+    # the test for a slice through a vertex is relative to the extent along
+    # the axis; an absolute 1e-12 nudged every slice 1e-9 of the extent at
+    # a time, and at length 1e-9 took 16 s
+    m = cones2d.build(cones2d.product(ALL_1D[1], length), refine=3)
+    started = time.perf_counter()
+    integral, direct = cones2d.fubini_check(m, Y_AXIS, 0.5)
+    assert time.perf_counter() - started < 1.0
+    assert integral == pytest.approx(direct, rel=1e-9)
 
 
 def perturbed_product(cone, bump):

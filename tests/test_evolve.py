@@ -174,6 +174,15 @@ def test_descend_requires_pin():
                                               pin=np.zeros(5, dtype=bool)))
 
 
+@pytest.mark.parametrize("setting, value", [
+    ("step", math.nan), ("step", 0.0), ("step", -0.05), ("step", math.inf),
+    ("max_iters", -1), ("tol", math.nan), ("tol", -1e-3), ("tol", math.inf),
+])
+def test_config_rejects_bad_settings(setting, value):
+    with pytest.raises(ValueError, match=f"{setting} .*got {value}"):
+        evolve.EvolveConfig(alpha=0.5, **{setting: value})
+
+
 def test_descend_trace_monotone_and_constrained():
     mesh, cfg = nucleated_half_t(refine=3)
     trace = evolve.descend(mesh, cfg)
