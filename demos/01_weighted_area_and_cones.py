@@ -10,7 +10,7 @@ minimal for a whole range alpha >= sqrt(2/3) and having the same energy
 
 import math
 
-from slidecal import cones2d, geom
+from slidecal import calib, cones2d, geom
 
 print("half-T in its canonical truncation")
 mesh = cones2d.build(cones2d.t_plus())
@@ -30,10 +30,9 @@ for make, label in ((cones2d.y_beta, "tilted Y"),
         req = cones2d.required_alpha(spec)
         mesh = cones2d.build(spec)
         e = geom.energy(mesh, req.value)
-        extra = ""
-        if req.admissible is not None:
-            extra = f", admissible = {req.admissible}"
-        print(f"  beta = {beta}:  minimal at alpha = {req.value:.6f}{extra}; "
+        verdict = calib.verify_alignment(spec, calib.calibration_for(spec)).verdict
+        print(f"  beta = {beta}:  minimal at alpha = {req.value:.6f}, "
+              f"calibration {'pass' if verdict else 'fail'}; "
               f"J = {e.j_alpha:.6f} in the default clip "
               f"({mesh.n_triangles} triangles)")
     print()

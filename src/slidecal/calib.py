@@ -12,7 +12,10 @@ depends only on the clip region, provided
     regions reproduces the weight alpha on the cone's sliding sectors.
 
 This module builds the families for the four cones and verifies those
-three properties, plus the per-region flux identities, numerically.
+three properties, plus the per-region flux identities, numerically.  For a
+constant field w the flux through a region's boundary is the face sum of
+w . A_f, with A_f the outward vector area of face f
+(``cones2d.RegionFace.vector_area``).
 """
 
 from __future__ import annotations
@@ -199,7 +202,8 @@ def verify_alignment(spec: cones2d.ConeSpec, cal: Calibration) -> CalibrationRep
 def divergence_balance(partition: cones2d.Partition, cal: Calibration,
                        drop: Optional[tuple] = None) -> dict:
     """Flux of each region's calibration vector through its closed
-    boundary; zero (to rounding) for a constant field.
+    boundary: the sum over faces of w . A_f with A_f the face's outward
+    vector area, zero (to rounding) for a constant field.
 
     Returns {region: (flux, boundary_area)}.  ``drop=(region, face_name)``
     removes one face first - the negative control: the reported flux then
@@ -208,16 +212,9 @@ def divergence_balance(partition: cones2d.Partition, cal: Calibration,
     out = {}
     for region in partition.regions:
         w = cal.vector(region.index)
-        terms = []
-        area_terms = []
-        for face in region.faces:
-            if drop is not None and drop == (region.index, face.name):
-                continue
-            for a, b, c in face.triangles:
-                n = np.cross(b - a, c - a)       # |n| = 2 * area, outward
-                terms.append(0.5 * float(w @ n))
-                area_terms.append(0.5 * float(np.linalg.norm(n)))
-        out[region.index] = (math.fsum(terms), math.fsum(area_terms))
+        faces = [f for f in region.faces if drop != (region.index, f.name)]
+        out[region.index] = (math.fsum(float(w @ f.vector_area) for f in faces),
+                             math.fsum(f.area for f in faces))
     return out
 
 
@@ -225,26 +222,19 @@ def lower_bound_constant(partition: cones2d.Partition, cal: Calibration) -> tupl
     """The clip-dependent constant of the calibration argument, alongside
     the weighted area of the clipped cone at its required alpha.
 
-    The constant is the total calibration flux through the clip faces plus
-    (-w_bare . z_hat) times the total sliding-plane cross-section; by the
-    divergence theorem and the alignment identities it equals the clipped
-    cone's weighted area exactly, which is what the returned pair lets a
-    caller assert.
+    The constant is the total calibration flux w . A_f through the clip
+    faces plus (-w_bare . z_hat) times the total sliding-plane
+    cross-section; by the divergence theorem and the alignment identities
+    it equals the clipped cone's weighted area exactly, which is what the
+    returned pair lets a caller assert.
     """
-    clip_flux_terms = []
-    gamma_area_terms = []
-    for region in partition.regions:
-        w = cal.vector(region.index)
-        for face in region.faces:
-            if face.kind == cones2d.FACE_CLIP:
-                for a, b, c in face.triangles:
-                    clip_flux_terms.append(0.5 * float(w @ np.cross(b - a, c - a)))
-            elif face.kind in (cones2d.FACE_GAMMA_BARE, cones2d.FACE_GAMMA_SECTOR):
-                gamma_area_terms.append(face.area)
-    bare_regions = [region.index for region in partition.regions
-                    if any(f.kind == cones2d.FACE_GAMMA_BARE for f in region.faces)]
-    w_bare_z = float(cal.vector(bare_regions[0]) @ geom.Z_HAT)
-    constant = math.fsum(clip_flux_terms) - w_bare_z * math.fsum(gamma_area_terms)
+    faces = [(region.index, f) for region in partition.regions for f in region.faces]
+    clip_flux = math.fsum(float(cal.vector(i) @ f.vector_area)
+                          for i, f in faces if f.kind == cones2d.FACE_CLIP)
+    gamma_area = math.fsum(f.area for _, f in faces if f.kind in
+                           (cones2d.FACE_GAMMA_BARE, cones2d.FACE_GAMMA_SECTOR))
+    bare = next(i for i, f in faces if f.kind == cones2d.FACE_GAMMA_BARE)
+    constant = clip_flux - float(cal.vector(bare) @ geom.Z_HAT) * gamma_area
 
     alpha_star = cones2d.required_alpha(partition.spec).value
     j_cone = cones2d.partition_cone_energy(partition, alpha_star)

@@ -27,6 +27,7 @@ topology.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -138,12 +139,10 @@ class GammaSector:
 @dataclass(frozen=True)
 class RequiredAlpha:
     """The weight at which a cone is minimal.  ``condition`` is ``eq`` for
-    exact equality families and ``geq`` for threshold families;
-    ``admissible`` carries the extra shape constraint where one exists."""
+    exact equality families and ``geq`` for threshold families."""
 
     value: float
     condition: str
-    admissible: Optional[bool] = None
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +298,9 @@ def required_alpha(spec: ConeSpec) -> RequiredAlpha:
     """The weight at which the cone is sliding minimal.
 
     The tilted families are minimal exactly at alpha = (sqrt(3)/2) cos(beta)
-    (the double Y additionally needs sin(beta) <= 1/sqrt(3)); the half-T is
-    minimal exactly for alpha >= sqrt(2/3).
+    (the double Y additionally needs sin(beta) <= 1/sqrt(3), the norm bound
+    that ``calib.verify_alignment`` checks); the half-T is minimal exactly
+    for alpha >= sqrt(2/3).
 
     At beta = 0 the formula gives alpha = sqrt(3)/2 for every tilted
     family, so the families sweep alpha in [0, sqrt(3)/2] (Y) and
@@ -310,58 +310,7 @@ def required_alpha(spec: ConeSpec) -> RequiredAlpha:
     _check_not_product(spec)
     if spec.variant == T_PLUS:
         return RequiredAlpha(SQ23, REQ_GEQ)
-    value = SQ3 / 2 * math.cos(spec.beta)
-    if spec.variant == W_BETA:
-        return RequiredAlpha(value, REQ_EQ,
-                             admissible=math.sin(spec.beta) <= 1 / SQ3 + 1e-12)
-    return RequiredAlpha(value, REQ_EQ)
-
-
-@dataclass(frozen=True)
-class ProfileCheck:
-    name: str
-    profile: str            # one of the 1D catalog names, or "sloped_threshold"
-    cos_gamma: Optional[float]
-    required_alpha: Optional[float]
-    passes: bool
-
-
-def boundary_profile_check(spec: ConeSpec, alpha: float, tol: float = 1e-12) -> list:
-    """Blow-up profile of the cone along each of its boundary rays, with
-    the minimality condition of that profile evaluated at ``alpha``.
-
-    Sloping folds that reach the sliding plane next to a weighted sector
-    give the sloped-plus-horizontal profile, admissible iff the dihedral
-    angle gamma satisfies cos(gamma) = alpha.  The half-T's sloping folds
-    touch the plane only at the origin; their dihedral angle instead sets
-    the minimality threshold, so those entries pass iff
-    alpha >= cos(gamma) = sqrt(2/3).
-    """
-    _check_not_product(spec)
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    out = []
-    if spec.variant == T_PLUS:
-        for k in (1, 2, 3):
-            out.append(ProfileCheck(f"trace_{k}", cones1d.VERTICAL, None, None, True))
-        for k, n in enumerate(fold_normals(spec), start=1):
-            cg = float(n @ Z)
-            out.append(ProfileCheck(f"slope_{k}", "sloped_threshold", cg, cg,
-                                    alpha >= cg - tol))
-        return out
-    if spec.variant == Y_BETA:
-        out.append(ProfileCheck("q1", cones1d.VERTICAL, None, None, True))
-        names = ("q2", "q3")
-    elif spec.variant == YBAR_BETA:
-        out.append(ProfileCheck("q1", cones1d.GAMMA_PLUS_VERTICAL, None, None, True))
-        names = ("q2", "q3")
-    else:
-        names = ("q1", "q2", "q3", "q4")
-    for name, n in zip(names, fold_normals(spec)):
-        cg = float(n @ Z)
-        out.append(ProfileCheck(name, cones1d.SLOPED_PLUS_HORIZONTAL, cg, cg,
-                                abs(cg - alpha) <= tol))
-    return out
+    return RequiredAlpha(SQ3 / 2 * math.cos(spec.beta), REQ_EQ)
 
 
 # ---------------------------------------------------------------------------
@@ -473,11 +422,6 @@ def _clip_halfspaces(spec: ConeSpec, clip: ClipRegion) -> list:
 # ---------------------------------------------------------------------------
 # Meshes from convex faces
 # ---------------------------------------------------------------------------
-
-def _fan(pts):
-    """Fan triangulation of a convex polygon (list of (3,) points)."""
-    return [(pts[0], pts[i], pts[i + 1]) for i in range(1, len(pts) - 1)]
-
 
 # A triangle whose area is at most this times its longest edge squared is
 # a sliver below rounding resolution: c * eps with c = 45, about 1e-14.
@@ -608,13 +552,36 @@ def build(spec: ConeSpec, clip: Optional[ClipRegion] = None, refine: int = 0) ->
 
 @dataclass(frozen=True)
 class RegionFace:
+    """A convex face of a complement region, fan-triangulated and oriented
+    out of the region.  ``cross`` holds each triangle's (b - a) x (c - a),
+    which points outward with length twice the triangle's area."""
+
     kind: str
     name: str
     triangles: np.ndarray      # (k, 3, 3), oriented outward
+    cross: np.ndarray          # (k, 3)
+
+    @classmethod
+    def fan(cls, kind: str, name: str, polygon, normal) -> RegionFace:
+        """Fan from the first vertex of a convex polygon (vertices in
+        angular order), each triangle turned to face along ``normal``."""
+        p = np.asarray(polygon)
+        tris = np.stack([np.broadcast_to(p[0], p[2:].shape), p[1:-1], p[2:]], axis=1)
+        cross = np.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0])
+        flip = cross @ normal < 0
+        tris[flip] = tris[flip][:, [0, 2, 1]]
+        cross[flip] = -cross[flip]
+        return cls(kind, name, tris, cross)
+
+    @property
+    def vector_area(self) -> np.ndarray:
+        """The integral of the outward unit normal over the face, so the
+        flux of a constant field w through it is w . vector_area."""
+        return 0.5 * self.cross.sum(axis=0)
 
     @property
     def area(self) -> float:
-        return math.fsum(geom.triangle_area(*t) for t in self.triangles)
+        return math.fsum(0.5 * _segment_lengths(self.cross))
 
 
 @dataclass(frozen=True)
@@ -632,25 +599,21 @@ class Partition:
 def _region_from_halfspaces(index, labeled_halfspaces, tol=1e-9):
     """Faces of a bounded convex region cut out by halfspaces n.p <= d.
 
-    Vertices come from all plane triples; each constraint plane carrying at
-    least three of them contributes one convex face, oriented outward along
-    its constraint normal.
+    Vertices come from all plane triples, solved as one batch; each
+    constraint plane carrying at least three of them contributes one convex
+    face, oriented outward along its constraint normal.
     """
     planes = [(geom.unit(n), float(d) / float(np.linalg.norm(n)), kind, name)
               for n, d, kind, name in labeled_halfspaces]
-    k = len(planes)
+    normals = np.array([n for n, _, _, _ in planes])
+    offsets = np.array([d for _, d, _, _ in planes])
+    triples = np.array(list(itertools.combinations(range(len(planes)), 3)))
+    triples = triples[np.abs(np.linalg.det(normals[triples])) >= 1e-12]
+    points = np.linalg.solve(normals[triples], offsets[triples][..., None])[..., 0]
     verts = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            for l in range(j + 1, k):
-                a = np.array([planes[i][0], planes[j][0], planes[l][0]])
-                if abs(np.linalg.det(a)) < 1e-12:
-                    continue
-                p = np.linalg.solve(a, np.array([planes[i][1], planes[j][1],
-                                                 planes[l][1]]))
-                if all(float(n @ p) <= d + tol for n, d, _, _ in planes):
-                    if not any(np.linalg.norm(p - q) < tol for q in verts):
-                        verts.append(p)
+    for p in points[np.all(points @ normals.T <= offsets + tol, axis=1)]:
+        if not any(np.linalg.norm(p - q) < tol for q in verts):
+            verts.append(p)
     if len(verts) < 4:
         raise ValueError(f"region {index}: degenerate halfspace intersection")
     faces = []
@@ -664,13 +627,7 @@ def _region_from_halfspaces(index, labeled_halfspaces, tol=1e-9):
         on.sort(key=lambda p: math.atan2(float((p - centroid) @ v),
                                          float((p - centroid) @ u)))
         on = _snap_z(on) if kind in (FACE_GAMMA_SECTOR, FACE_GAMMA_BARE) else on
-        tris = []
-        for a, b, c in _fan(on):
-            cross = np.cross(b - a, c - a)
-            if float(cross @ n) < 0:
-                a, b, c = a, c, b
-            tris.append((a, b, c))
-        faces.append(RegionFace(kind, name, np.array(tris)))
+        faces.append(RegionFace.fan(kind, name, on, n))
     return Region(index, tuple(faces))
 
 
@@ -682,11 +639,12 @@ def _partition(spec: ConeSpec, clip: ClipRegion) -> Partition:
     if spec.variant == W_BETA and spec.beta <= 0.0:
         raise ValueError("double Y needs beta > 0")
     sectors = {s.region: s.name for s in gamma_sectors(spec)}
+    cone_folds = folds(spec)
     clip_halfspaces = _clip_halfspaces(spec, clip)
     regions = []
     for i in range(1, region_count(spec) + 1):
         hs = [((1.0 if i == f.regions[0] else -1.0) * f.normal, 0.0,
-               FACE_FOLD, f.name) for f in folds(spec) if i in f.regions]
+               FACE_FOLD, f.name) for f in cone_folds if i in f.regions]
         if i in sectors:
             hs.append((Z_DOWN, 0.0, FACE_GAMMA_SECTOR, sectors[i]))
         else:
@@ -699,7 +657,9 @@ def region_partition(spec: ConeSpec, clip: Optional[ClipRegion] = None) -> Parti
     """Closed polyhedral boundaries of the complement regions inside the
     clip: cone folds, clip faces, and sliding-plane patches, all oriented
     outward.  Every clip is a convex polytope, so each region is the
-    intersection of half-spaces and its faces are exact convex polygons."""
+    intersection of half-spaces and its faces are exact convex polygons;
+    each face carries its outward vector area, so a region's flux of a
+    constant field is a sum over its faces."""
     _check_not_product(spec)
     if clip is None:
         clip = default_clip(spec)

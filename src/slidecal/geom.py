@@ -225,9 +225,10 @@ def write_off(mesh: Mesh, path) -> Path:
 def read_off(path) -> Mesh:
     """Read an ASCII OFF file; Gamma flags come from the sidecar if present.
 
-    A file cut short, a sidecar without a ``gamma_triangles`` list, or a
-    sidecar index outside [0, nf) raises ValueError.  Loaded flags are
-    validated against the |z| <= 1e-9 rule by the Mesh constructor.
+    A file cut short, a face or sidecar index that is not a 64-bit integer,
+    a sidecar without a ``gamma_triangles`` list, or a sidecar index outside
+    [0, nf) raises ValueError.  Loaded flags are validated against the
+    |z| <= 1e-9 rule by the Mesh constructor.
     """
     path = Path(path)
     tokens = path.read_text().split()
@@ -240,7 +241,10 @@ def read_off(path) -> Mesh:
         raise ValueError(f"{path}: {nv} vertices and {nf} faces do not fit the file")
     pos = 4 + 3 * nv  # faces start after the 4 header tokens and the vertices
     verts = np.array(tokens[4:pos], dtype=float).reshape(nv, 3)
-    faces = np.array(tokens[pos:pos + 4 * nf], dtype=np.int64).reshape(nf, 4)
+    try:
+        faces = np.array(tokens[pos:pos + 4 * nf], dtype=np.int64).reshape(nf, 4)
+    except OverflowError:
+        raise ValueError(f"{path}: face index does not fit in 64 bits") from None
     del tokens  # the largest object here: free it before the Mesh checks
     bad = np.flatnonzero(faces[:, 0] != 3)
     if bad.size:
@@ -252,7 +256,10 @@ def read_off(path) -> Mesh:
         data = json.loads(sidecar.read_text())
         if not isinstance(data, dict) or "gamma_triangles" not in data:
             raise ValueError(f"{sidecar}: no gamma_triangles list")
-        idx = np.asarray(data["gamma_triangles"], dtype=int)
+        try:
+            idx = np.asarray(data["gamma_triangles"], dtype=int)
+        except (OverflowError, TypeError):
+            raise ValueError(f"{sidecar}: gamma triangle index is not an int64") from None
         if idx.size and (idx.min() < 0 or idx.max() >= nf):
             raise ValueError(f"{sidecar}: gamma triangle index outside [0, {nf})")
         gamma[idx] = True

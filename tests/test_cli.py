@@ -258,15 +258,27 @@ def test_report_records_the_command_it_was_given(tmp_path, capsys, t_plus_off):
      "at least one point, got 0"),
     (["compete", "--alpha", "0.5", "--csv", "{csv}", "--sweep-points", "-3"],
      "at least one point, got -3"),
+    (["energy", "--alpha", "0.5", "{huge_face}"],
+     "huge.off: face index does not fit in 64 bits"),
+    (["energy", "--alpha", "0.5", "{huge_gamma}"],
+     "gamma.off.json: gamma triangle index is not an int64"),
 ], ids=["rays-not-a-list", "zero-slices", "negative-prism-apothem",
         "nan-step", "zero-step", "negative-step", "negative-iters", "nan-tol",
-        "zero-sweep-points", "negative-sweep-points"])
+        "zero-sweep-points", "negative-sweep-points", "face-index-overflow",
+        "gamma-index-overflow"])
 def test_bad_input_exits_one_with_one_line(tmp_path, capsys, t_plus_off,
                                            argv, message):
     rays = tmp_path / "rays.json"
     rays.write_text("5")
+    lines = t_plus_off.read_text().splitlines()
+    huge_face = tmp_path / "huge.off"
+    huge_face.write_text("\n".join(lines[:-1] + ["3 0 1 99999999999999999999"]) + "\n")
+    huge_gamma = tmp_path / "gamma.off"
+    huge_gamma.write_text(t_plus_off.read_text())
+    (tmp_path / "gamma.off.json").write_text('{"gamma_triangles": [99999999999999999999]}')
     paths = {"rays": rays, "mesh": t_plus_off, "out": tmp_path / "p.off",
-             "csv": tmp_path / "sweep.csv"}
+             "csv": tmp_path / "sweep.csv", "huge_face": huge_face,
+             "huge_gamma": huge_gamma}
     assert cli.main([a.format(**paths) for a in argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1

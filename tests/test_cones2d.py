@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from slidecal import calib, cones1d, cones2d, geom
+from slidecal import calib, cones1d, cones2d, geom, spherenet
 
 SQ2 = math.sqrt(2.0)
 SQ3 = math.sqrt(3.0)
@@ -124,50 +124,55 @@ def test_w_tetrahedron_endpoint_normals():
 
 
 def test_required_alpha():
-    req = cones2d.required_alpha(cones2d.t_plus())
-    assert req.value == pytest.approx(math.sqrt(2 / 3), abs=1e-15)
-    assert req.condition == cones2d.REQ_GEQ
-
     req = cones2d.required_alpha(cones2d.y_beta(0.0))
     assert req.value == pytest.approx(SQ3 / 2, abs=1e-15)
     assert req.condition == cones2d.REQ_EQ
 
     req = cones2d.required_alpha(cones2d.w_beta(math.asin(1 / SQ3)))
     assert req.value == pytest.approx(1 / SQ2, abs=1e-14)
-    assert req.admissible is True
-    assert cones2d.required_alpha(cones2d.w_beta(0.8)).admissible is False
 
 
-def test_boundary_profile_y():
+def test_double_y_admissibility_is_the_calibration_norm_bound():
+    edge = math.asin(1 / SQ3)
+    assert calib.verify_alignment(cones2d.w_beta(edge),
+                                  calib.w_beta_calibration(edge)).verdict
+    bad = calib.verify_alignment(cones2d.w_beta(0.8), calib.w_beta_calibration(0.8))
+    assert not bad.verdict
+    assert [r.split(" = ")[0] for r in bad.reasons] == ["|w1-w2|"]
+
+
+def test_required_alpha_half_t_threshold():
+    # the half-T's sloping folds touch the plane only at the origin: their
+    # dihedral angle against it sets the threshold alpha >= cos(gamma)
+    req = cones2d.required_alpha(cones2d.t_plus())
+    assert req.condition == cones2d.REQ_GEQ
+    assert req.value == pytest.approx(math.sqrt(2 / 3), abs=1e-15)
+    normals = cones2d.fold_normals(cones2d.t_plus())
+    assert len(normals) == 3
+    for n in normals:
+        assert float(n @ cones2d.Z) == pytest.approx(req.value, abs=1e-14)
+
+
+def test_equator_profile_y():
     beta = math.pi / 3
-    spec = cones2d.y_beta(beta)
-    good = cones2d.boundary_profile_check(spec, SQ3 / 2 * math.cos(beta))
-    assert all(e.passes for e in good)
-    bad = cones2d.boundary_profile_check(spec, 0.9)
-    failing = [e for e in bad if not e.passes]
-    assert {e.name for e in failing} == {"q2", "q3"}
-    assert failing[0].required_alpha == pytest.approx(SQ3 / 4, abs=1e-12)
+    net = cones2d.hemisphere_trace(cones2d.y_beta(beta))
+    good = spherenet.equator_check(net, SQ3 / 2 * math.cos(beta))
+    assert good.ok and [e.node for e in good.entries] == [0, 1, 2]
+    assert good.entries[0].verdict.cone.variant == cones1d.VERTICAL
+    for e in good.entries[1:]:
+        assert e.verdict.cone.variant == cones1d.SLOPED_PLUS_HORIZONTAL
+        assert math.cos(e.verdict.cone.theta) == pytest.approx(SQ3 / 4, abs=1e-12)
+    bad = spherenet.equator_check(net, 0.9)
+    assert [e.node for e in bad.entries if not e.ok] == [1, 2]
 
 
-def test_boundary_profile_half_t():
-    ok = cones2d.boundary_profile_check(cones2d.t_plus(), math.sqrt(2 / 3))
-    assert all(e.passes for e in ok)
-    slopes = [e for e in ok if e.profile == "sloped_threshold"]
-    assert len(slopes) == 3
-    for e in slopes:
-        assert e.cos_gamma == pytest.approx(math.sqrt(2 / 3), abs=1e-14)
-    below = cones2d.boundary_profile_check(cones2d.t_plus(), 0.5)
-    assert sum(not e.passes for e in below) == 3
-    above = cones2d.boundary_profile_check(cones2d.t_plus(), 0.95)
-    assert all(e.passes for e in above)
-
-
-def test_boundary_profile_ybar():
+def test_equator_profile_ybar():
     spec = cones2d.ybar_beta(0.8)
-    entries = cones2d.boundary_profile_check(spec,
-                                             cones2d.required_alpha(spec).value)
-    assert entries[0].profile == cones1d.GAMMA_PLUS_VERTICAL
-    assert all(e.passes for e in entries)
+    report = spherenet.equator_check(cones2d.hemisphere_trace(spec),
+                                     cones2d.required_alpha(spec).value)
+    assert report.ok
+    assert report.entries[0].node == 0
+    assert report.entries[0].verdict.cone.variant == cones1d.GAMMA_PLUS_VERTICAL
 
 
 # ---------------------------------------------------------------------------
